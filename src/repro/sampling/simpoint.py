@@ -7,8 +7,10 @@ Reimplements the SimPoint 3.0 pipeline the paper uses (Hamerly et al.,
 1. normalize each interval's sparse feature vector to relative
    frequencies;
 2. randomly project to a low dimension (default 15, SimPoint's default);
-3. run weighted k-means (weights = interval instruction counts) for a
-   range of k with k-means++ seeding and multiple restarts;
+3. run weighted k-means (weights = interval instruction counts) for
+   every k in 1..min(max_k, distinct projected points) with k-means++
+   seeding and multiple restarts -- a k above the distinct-point count
+   could only split identical points, so it is never tried;
 4. score each k with the Bayesian Information Criterion and pick the
    smallest k whose BIC reaches a coverage fraction (default 0.9) of the
    observed BIC range;
@@ -28,8 +30,14 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
+from repro import telemetry
 from repro.obs import events as _events
 from repro.sampling.features import FeatureVector
+
+#: Projected points equal to this many decimals count as one point when
+#: clamping the k range: k-means cannot give more clusters than there
+#: are distinct points without reseeding empty ones on every pass.
+DISTINCT_DECIMALS = 9
 
 
 @dataclasses.dataclass(frozen=True)
@@ -129,6 +137,18 @@ def project_features(
     return projected
 
 
+def _weighted_draw(p: np.ndarray, rng: np.random.Generator) -> int:
+    """``rng.choice(len(p), p=p)`` without its per-call validation.
+
+    ``Generator.choice`` draws by inverting the normalized CDF at one
+    ``rng.random()`` uniform; doing the same here consumes the same
+    stream and returns the same index.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _kmeans_pp_init(
     points: np.ndarray,
     weights: np.ndarray,
@@ -138,7 +158,7 @@ def _kmeans_pp_init(
     """Weighted k-means++ seeding."""
     n = points.shape[0]
     centroids = np.empty((k, points.shape[1]), dtype=np.float64)
-    first = rng.choice(n, p=weights / weights.sum())
+    first = _weighted_draw(weights / weights.sum(), rng)
     centroids[0] = points[first]
     closest_sq = ((points - centroids[0]) ** 2).sum(axis=1)
     for j in range(1, k):
@@ -147,11 +167,60 @@ def _kmeans_pp_init(
         if total <= 0:
             idx = int(rng.integers(n))
         else:
-            idx = int(rng.choice(n, p=scores / total))
+            idx = _weighted_draw(scores / total, rng)
         centroids[j] = points[idx]
         dist = ((points - centroids[j]) ** 2).sum(axis=1)
         np.minimum(closest_sq, dist, out=closest_sq)
     return centroids
+
+
+def _sq_distances(
+    points: np.ndarray, point_sq: np.ndarray, centroids: np.ndarray
+) -> np.ndarray:
+    """(n, k) squared point-to-centroid distances.
+
+    ``point_sq`` holds the squared norm of each point, as an (n, 1) column.
+    """
+    return point_sq - 2.0 * points @ centroids.T + (centroids**2).sum(axis=1)
+
+
+def _masked_update(
+    points: np.ndarray,
+    weights: np.ndarray,
+    weighted: np.ndarray,
+    point_sq: np.ndarray,
+    centroids: np.ndarray,
+    labels: np.ndarray,
+) -> int:
+    """Per-cluster centroid update with empty-cluster reseeding.
+
+    Updates ``centroids`` and (on a reseed) ``labels`` in place, one
+    cluster at a time, and returns the number of reseeds.
+    """
+    reseeds = 0
+    for j in range(centroids.shape[0]):
+        mask = labels == j
+        mass = weights[mask].sum()
+        if mass > 0:
+            centroids[j] = weighted[mask].sum(axis=0) / mass
+            continue
+        # Re-seed an empty cluster at the farthest point, measured
+        # against the centroids *as updated so far this iteration*: the
+        # caller's distances were computed before any centroid moved, so
+        # they are stale for clusters updated earlier in this loop and
+        # could reseed on a point that is now well covered.  The vacated
+        # centroid itself is excluded -- it is the position being
+        # replaced.
+        current_d2 = _sq_distances(points, point_sq, centroids)
+        current_d2[:, j] = np.inf
+        farthest = int(current_d2.min(axis=1).argmax())
+        centroids[j] = points[farthest]
+        labels[farthest] = j
+        reseeds += 1
+        log = _events.get()
+        if log.enabled:
+            log.debug("simpoint.reseed", cluster=j, point=farthest)
+    return reseeds
 
 
 def _lloyd(
@@ -160,56 +229,55 @@ def _lloyd(
     centroids: np.ndarray,
     max_iterations: int,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Weighted Lloyd iterations; returns (labels, centroids, distortion)."""
+    """Weighted Lloyd iterations; returns (labels, centroids, distortion).
+
+    An iteration with no empty cluster updates every centroid with two
+    ``bincount`` calls.  That is bit-identical to the per-cluster masked
+    sums of :func:`_masked_update` under two conditions.  Weights must be
+    integers (instruction counts), so a cluster's mass is exact in any
+    summation order.  And the points need at least two dimensions: a
+    masked ``sum(axis=0)`` then adds rows in order, exactly as
+    ``bincount`` does, whereas a single column is summed pairwise.  Other
+    iterations (an empty cluster to reseed, or 1-D points) keep the
+    per-cluster loop.
+    """
+    n, dim = points.shape
     k = centroids.shape[0]
-    labels = np.zeros(points.shape[0], dtype=np.int64)
-    for _ in range(max_iterations):
-        # (n, k) squared distances.
-        d2 = (
-            (points**2).sum(axis=1, keepdims=True)
-            - 2.0 * points @ centroids.T
-            + (centroids**2).sum(axis=1)
-        )
+    labels = np.zeros(n, dtype=np.int64)
+    # Loop invariants, elementwise: hoisting them changes no value.
+    point_sq = (points**2).sum(axis=1, keepdims=True)
+    weighted = weights[:, None] * points
+    # Cluster j's column c accumulates in bin j * dim + c.
+    columns = np.arange(dim)
+    iterations, capped, reseeds = max_iterations, True, 0
+    for iteration in range(max_iterations):
+        d2 = _sq_distances(points, point_sq, centroids)
         new_labels = d2.argmin(axis=1)
-        for j in range(k):
-            mask = new_labels == j
-            mass = weights[mask].sum()
-            if mass > 0:
-                centroids[j] = (
-                    weights[mask, None] * points[mask]
-                ).sum(axis=0) / mass
-            else:
-                # Re-seed an empty cluster at the farthest point, measured
-                # against the centroids *as updated so far this iteration*:
-                # ``d2`` was computed before any centroid moved, so its
-                # distances are stale for clusters updated earlier in this
-                # loop and could reseed on a point that is now well
-                # covered.  The vacated centroid itself is excluded -- it
-                # is the position being replaced.
-                current_d2 = (
-                    (points**2).sum(axis=1, keepdims=True)
-                    - 2.0 * points @ centroids.T
-                    + (centroids**2).sum(axis=1)
-                )
-                current_d2[:, j] = np.inf
-                farthest = int(current_d2.min(axis=1).argmax())
-                centroids[j] = points[farthest]
-                new_labels[farthest] = j
-                log = _events.get()
-                if log.enabled:
-                    log.debug(
-                        "simpoint.reseed", cluster=j, point=farthest
-                    )
-        if np.array_equal(new_labels, labels):
-            labels = new_labels
-            break
+        mass = np.bincount(new_labels, weights=weights, minlength=k)
+        if dim > 1 and (mass > 0).all():
+            bins = (new_labels[:, None] * dim + columns).ravel()
+            sums = np.bincount(
+                bins, weights=weighted.ravel(), minlength=k * dim
+            )
+            np.divide(sums.reshape(k, dim), mass[:, None], out=centroids)
+        else:
+            reseeds += _masked_update(
+                points, weights, weighted, point_sq, centroids, new_labels
+            )
+        converged = np.array_equal(new_labels, labels)
         labels = new_labels
-    d2 = (
-        (points**2).sum(axis=1, keepdims=True)
-        - 2.0 * points @ centroids.T
-        + (centroids**2).sum(axis=1)
-    )
-    point_d2 = np.maximum(d2[np.arange(points.shape[0]), labels], 0.0)
+        if converged:
+            iterations, capped = iteration + 1, False
+            break
+    tm = telemetry.get()
+    if tm.enabled:
+        tm.inc("sampling.kmeans_iterations", iterations)
+        if capped:
+            tm.inc("sampling.kmeans_capped")
+        if reseeds:
+            tm.inc("sampling.kmeans_reseeds", reseeds)
+    d2 = _sq_distances(points, point_sq, centroids)
+    point_d2 = np.maximum(d2[np.arange(n), labels], 0.0)
     distortion = float((weights * point_d2).sum())
     return labels, centroids, distortion
 
@@ -257,12 +325,9 @@ def bic_score(
         return float("-inf")
     variance = distortion / weights.sum() + 1e-12
     log_likelihood = 0.0
-    for j in range(k):
-        mask = labels == j
-        nj = mass[mask].sum()
-        if nj <= 0:
-            continue
-        log_likelihood += nj * np.log(nj / n)
+    for nj in np.bincount(labels, weights=mass, minlength=k):
+        if nj > 0:
+            log_likelihood += nj * np.log(nj / n)
     log_likelihood -= n * d / 2.0 * np.log(2.0 * np.pi * variance)
     log_likelihood -= (n - k) * d / 2.0
     n_params = k * (d + 1)
@@ -294,8 +359,22 @@ def run_simpoint(
     candidates: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
     bic_by_k: dict[int, float] = {}
     if options.fixed_k is not None:
+        # The fixed-k ablation exists to force k: only n bounds it.
         ks: tuple[int, ...] = (min(options.fixed_k, n),)
     else:
+        distinct = len(
+            np.unique(np.round(points, DISTINCT_DECIMALS), axis=0)
+        )
+        if distinct < max_k:
+            tm = telemetry.get()
+            if tm.enabled:
+                tm.inc("sampling.kmeans_k_clamped")
+            log = _events.get()
+            if log.enabled:
+                log.debug(
+                    "simpoint.k_clamped", max_k=max_k, distinct=distinct
+                )
+            max_k = distinct
         ks = tuple(range(1, max_k + 1))
     for k in ks:
         labels, centroids, distortion = weighted_kmeans(

@@ -2,10 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import telemetry
+from repro.obs import events as obs_events
+from repro.sampling import simpoint
 from repro.sampling.simpoint import (
     SimPointOptions,
     SimPointResult,
+    _lloyd,
+    _weighted_draw,
     bic_score,
     project_features,
     run_simpoint,
@@ -286,3 +293,194 @@ def test_projection_empty_vectors():
     got = project_features([{}, {}], dim=3, seed=0)
     assert got.shape == (2, 3)
     assert (got == 0.0).all()
+
+
+# -- k clamp, k-means++ draw, flattened Lloyd --------------------------------
+
+
+def _three_distinct_rows(n=20):
+    """``n`` intervals that repeat only three distinct behaviours."""
+    shapes = [
+        {("bb", "a"): 1.0},
+        {("bb", "b"): 1.0},
+        {("bb", "a"): 1.0, ("bb", "b"): 3.0},
+    ]
+    vectors = [dict(shapes[i % 3]) for i in range(n)]
+    weights = [1000 + 37 * i for i in range(n)]
+    return vectors, weights
+
+
+def _counting_kmeans(monkeypatch):
+    """Route ``run_simpoint``'s k-means through a k-recording wrapper."""
+    seen = []
+    real = simpoint.weighted_kmeans
+
+    def counting(points, weights, k, options, seed_offset=0):
+        seen.append(k)
+        return real(points, weights, k, options, seed_offset)
+
+    monkeypatch.setattr(simpoint, "weighted_kmeans", counting)
+    return seen
+
+
+def test_k_range_clamped_to_distinct_points(monkeypatch):
+    vectors, weights = _three_distinct_rows()
+    seen = _counting_kmeans(monkeypatch)
+    with telemetry.session() as tm, obs_events.session() as log:
+        result = run_simpoint(vectors, weights, SimPointOptions(max_k=10))
+    assert sorted(result.bic_by_k) == [1, 2, 3]
+    assert seen and max(seen) <= 3
+    assert result.k <= 3
+    assert tm.counter_value("sampling.kmeans_k_clamped") == 1
+    [event] = [r for r in log.records() if r.name == "simpoint.k_clamped"]
+    assert dict(event.fields) == {"max_k": 10, "distinct": 3}
+
+
+def test_k_range_not_clamped_when_points_are_distinct(monkeypatch):
+    vectors, weights = _two_phase_vectors()
+    seen = _counting_kmeans(monkeypatch)
+    with telemetry.session() as tm:
+        result = run_simpoint(vectors, weights, SimPointOptions(max_k=6))
+    assert sorted(result.bic_by_k) == list(range(1, 7))
+    assert seen == list(range(1, 7))
+    assert tm.counter_value("sampling.kmeans_k_clamped") == 0
+
+
+def test_fixed_k_is_not_clamped_to_distinct_points(monkeypatch):
+    """The fixed-k ablation forces k: only the interval count bounds it."""
+    vectors, weights = _three_distinct_rows()
+    seen = _counting_kmeans(monkeypatch)
+    run_simpoint(vectors, weights, SimPointOptions(fixed_k=5))
+    assert seen == [5]
+    seen.clear()
+    run_simpoint(vectors[:4], weights[:4], SimPointOptions(fixed_k=10))
+    assert seen == [4]
+
+
+@st.composite
+def _draw_weights(draw):
+    values = draw(
+        st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    if not any(values):
+        values[draw(st.integers(0, len(values) - 1))] = 1.0
+    return np.asarray(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(weights=_draw_weights(), seed=st.integers(0, 2**32 - 1))
+def test_weighted_draw_matches_generator_choice(weights, seed):
+    """Same index as ``Generator.choice(n, p=p)`` on the same stream,
+    zero-probability entries included, draw after draw."""
+    p = weights / weights.sum()
+    ours = np.random.default_rng(seed)
+    theirs = np.random.default_rng(seed)
+    for _ in range(5):
+        idx = _weighted_draw(p, ours)
+        assert idx == int(theirs.choice(len(p), p=p))
+        assert p[idx] > 0
+    # Both generators consumed the same stream.
+    assert ours.random() == theirs.random()
+
+
+def _lloyd_reference(points, weights, centroids, max_iterations):
+    """The per-cluster masked Lloyd loop ``_lloyd`` flattens, verbatim,
+    kept as the bit-identity oracle."""
+    k = centroids.shape[0]
+    labels = np.zeros(points.shape[0], dtype=np.int64)
+    for _ in range(max_iterations):
+        d2 = (
+            (points**2).sum(axis=1, keepdims=True)
+            - 2.0 * points @ centroids.T
+            + (centroids**2).sum(axis=1)
+        )
+        new_labels = d2.argmin(axis=1)
+        for j in range(k):
+            mask = new_labels == j
+            mass = weights[mask].sum()
+            if mass > 0:
+                centroids[j] = (
+                    weights[mask, None] * points[mask]
+                ).sum(axis=0) / mass
+            else:
+                current_d2 = (
+                    (points**2).sum(axis=1, keepdims=True)
+                    - 2.0 * points @ centroids.T
+                    + (centroids**2).sum(axis=1)
+                )
+                current_d2[:, j] = np.inf
+                farthest = int(current_d2.min(axis=1).argmax())
+                centroids[j] = points[farthest]
+                new_labels[farthest] = j
+        if np.array_equal(new_labels, labels):
+            labels = new_labels
+            break
+        labels = new_labels
+    d2 = (
+        (points**2).sum(axis=1, keepdims=True)
+        - 2.0 * points @ centroids.T
+        + (centroids**2).sum(axis=1)
+    )
+    point_d2 = np.maximum(d2[np.arange(points.shape[0]), labels], 0.0)
+    distortion = float((weights * point_d2).sum())
+    return labels, centroids, distortion
+
+
+def _assert_lloyd_matches_reference(points, weights, init, iterations):
+    with telemetry.session() as tm:
+        got = _lloyd(points, weights, init.copy(), iterations)
+    want = _lloyd_reference(points, weights, init.copy(), iterations)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert got[2] == want[2]
+    return tm
+
+
+@pytest.mark.parametrize("dim", [1, 2, 15])
+@pytest.mark.parametrize("trial", range(6))
+def test_lloyd_matches_masked_loop_without_empty_clusters(dim, trial):
+    rng = np.random.default_rng(100 * dim + trial)
+    n, k = int(rng.integers(30, 400)), int(rng.integers(2, 11))
+    points = rng.normal(size=(n, dim)) + rng.integers(0, 4, (n, 1))
+    weights = rng.integers(1, 10**9, n).astype(np.float64)
+    init = points[rng.choice(n, k, replace=False)]
+    tm = _assert_lloyd_matches_reference(points, weights, init, 60)
+    if dim > 1:
+        assert tm.counter_value("sampling.kmeans_reseeds") == 0
+    assert 1 <= tm.counter_value("sampling.kmeans_iterations") <= 60
+
+
+@pytest.mark.parametrize("dim", [1, 3, 15])
+@pytest.mark.parametrize("trial", range(6))
+def test_lloyd_matches_masked_loop_with_empty_clusters(dim, trial):
+    """Far-away and duplicate seeds leave clusters empty: the reseed
+    path runs and stays bit-identical too."""
+    rng = np.random.default_rng(7 + 100 * dim + trial)
+    n, k = int(rng.integers(20, 200)), int(rng.integers(3, 11))
+    points = rng.normal(size=(n, dim))
+    weights = rng.integers(1, 10**9, n).astype(np.float64)
+    init = np.repeat(points[:1], k, axis=0)
+    init[-1] = 100.0
+    tm = _assert_lloyd_matches_reference(points, weights, init, 40)
+    assert tm.counter_value("sampling.kmeans_reseeds") > 0
+
+
+def test_lloyd_counts_a_capped_run():
+    rng = np.random.default_rng(3)
+    points = rng.normal(size=(200, 4))
+    weights = np.ones(200)
+    init = points[:8].copy()
+    with telemetry.session() as tm:
+        _lloyd(points, weights, init.copy(), 1)
+    assert tm.counter_value("sampling.kmeans_iterations") == 1
+    assert tm.counter_value("sampling.kmeans_capped") == 1
+    with telemetry.session() as tm:
+        _lloyd(points, weights, init.copy(), 500)
+    assert tm.counter_value("sampling.kmeans_capped") == 0
