@@ -7,7 +7,7 @@ quirks.  The paper's GEN parts are one provider (``gen``); the AMD-like
 64-wide wavefront backend of Kerncap is another (``wave64``).  Every
 provider is held to the same contract by the conformance suite
 (``tests/test_provider_capabilities.py``): capability invariants,
-three-engine bit-identity, dispatch/timing sanity properties, and a
+two-engine bit-identity, dispatch/timing sanity properties, and a
 per-provider golden -- adding a backend means implementing this
 interface and passing that suite.
 """

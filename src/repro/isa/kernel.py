@@ -260,7 +260,7 @@ class KernelBinary:
         Holds when no loop trip is jittered and no send uses a RANDOM
         address pattern; such kernels' simulation results are a pure
         function of (arguments, global work size, cache state), which
-        enables invocation memoization.
+        enables epoch memoization.
         """
         if self._is_deterministic is None:
             self._is_deterministic = not has_jitter(self.program) and not (

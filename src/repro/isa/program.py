@@ -128,7 +128,7 @@ def has_jitter(node: Node) -> bool:
     A jitter-free tree consumes no RNG state in
     :func:`execution_counts`, which is what makes an invocation's block
     counts a pure function of its arguments (the property the simulation
-    engine's invocation memoization relies on).
+    engine's counts cache and epoch memo rely on).
     """
     if isinstance(node, Block):
         return False

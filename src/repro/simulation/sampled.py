@@ -10,13 +10,14 @@ Fast-forwarding is modelled honestly: skipped invocations are *not*
 stepped -- their instruction counts come from the GT-Pin profile (which
 the methodology already has), at zero simulation cost.
 
-With ``engine="batched"`` the detailed intervals run through the
-cross-dispatch scheduler: invocations partition into hazard-free epochs
+The detailed intervals run through the cross-dispatch scheduler:
+invocations partition into hazard-free epochs
 (:mod:`repro.simulation.dispatch_graph`) and each epoch simulates as one
-unit, overlapping the fast-forwarded structure with the detailed work.
-``jobs`` optionally fans the pure trip-count resolution of jitter-free
-kernels out to a worker pool first (the simulation itself stays on one
-cache, so results are bit-identical at any worker count).
+unit, overlapping the fast-forwarded structure with the detailed work
+(the reference engine steps an epoch's invocations one at a time, in
+order).  ``jobs`` optionally fans the pure trip-count resolution of
+jitter-free kernels out to a worker pool first (the simulation itself
+stays on one cache, so results are bit-identical at any worker count).
 """
 
 from __future__ import annotations
@@ -126,17 +127,17 @@ def _simulate_epochs(
     rng: np.random.Generator,
     jobs: int | None,
 ) -> tuple[float, int]:
-    """Batched-engine path: epoch partition, then one call per epoch.
+    """Epoch partition, then one ``simulate_epoch`` call per epoch.
 
     Flattened epochs reproduce ``indices`` exactly, and each result is
-    accumulated in that order, so the sums are bit-identical to the
+    accumulated in that order, so the sums are bit-identical to a
     per-invocation loop.
     """
     epochs = dispatch_graph.partition_epochs(
         dispatch_graph.nodes_from_log(log, list(indices))
     )
     counts_by_index: dict[int, np.ndarray] = {}
-    if resolve_jobs(jobs) > 1:
+    if simulator.engine == "batched" and resolve_jobs(jobs) > 1:
         counts_by_index = _precompute_epoch_counts(
             sources, log, indices, jobs
         )
@@ -171,30 +172,15 @@ def _simulate_invocations(
     """Simulate the given invocations; returns (seconds, instrs, stepped)."""
     tm = telemetry.get()
     rng = np.random.default_rng(seed)
-    sim_seconds = 0.0
-    sim_instructions = 0
     # timed() measures wall time even with telemetry disabled (the result
     # needs it); enabled, it is a real span in the exported trace.
     with tm.timed(
         "simulation.invocations", category="simulation",
         invocations=len(indices),
     ) as timer:
-        if simulator.engine == "batched":
-            sim_seconds, sim_instructions = _simulate_epochs(
-                simulator, sources, log, indices, rng, jobs
-            )
-        else:
-            for i in indices:
-                profile = log.invocations[i]
-                binary = sources[profile.kernel_name].body
-                result = simulator.simulate(
-                    binary,
-                    {**dict(profile.data_items), **dict(profile.arg_items)},
-                    profile.global_work_size,
-                    rng,
-                )
-                sim_seconds += result.seconds
-                sim_instructions += result.instruction_count
+        sim_seconds, sim_instructions = _simulate_epochs(
+            simulator, sources, log, indices, rng, jobs
+        )
     wall = timer.duration_seconds
     if tm.enabled:
         # Simulated (device) vs wall (host) clock, side by side.
@@ -211,7 +197,7 @@ def simulate_selection(
     device: DeviceSpec | str,
     cache_config: CacheConfig | None = None,
     seed: int = 0,
-    engine: str = "vectorized",
+    engine: str = "batched",
     jobs: int | None = 1,
 ) -> SampledSimulationResult:
     """Detailed-simulate the selected intervals only, then extrapolate.
@@ -267,7 +253,7 @@ def simulate_full(
     device: DeviceSpec | str,
     cache_config: CacheConfig | None = None,
     seed: int = 0,
-    engine: str = "vectorized",
+    engine: str = "batched",
     jobs: int | None = 1,
 ) -> FullSimulationResult:
     """Detailed-simulate every invocation (the cost the method avoids)."""

@@ -160,7 +160,7 @@ def test_sim_engine_flag(tmp_path, capsys):
         "simulation.simulated_seconds",
     )
     outputs = {}
-    for engine in ("reference", "vectorized"):
+    for engine in ("reference", "batched"):
         out = tmp_path / f"{engine}.json"
         assert main(
             ["trace", "cb-gaussian-image", "--scale", "0.5",
@@ -173,12 +173,26 @@ def test_sim_engine_flag(tmp_path, capsys):
             if line.strip().startswith(model_counters)
         ]
     assert len(outputs["reference"]) == len(model_counters)
-    assert outputs["reference"] == outputs["vectorized"]
+    assert outputs["reference"] == outputs["batched"]
 
 
-def test_sim_engine_rejects_unknown():
-    with pytest.raises(SystemExit):
-        main(["trace", "cb-gaussian-image", "--sim-engine", "warp"])
+def test_sim_engine_rejects_unknown(capsys):
+    """Unknown and retired ("vectorized") engine names are one-line
+    argparse usage errors on both --sim-engine options."""
+    for argv in (
+        ["trace", "cb-gaussian-image", "--sim-engine", "warp"],
+        ["trace", "cb-gaussian-image", "--workflow", "simulate",
+         "--sim-engine", "vectorized"],
+        ["serve", "--duration", "0", "--sim-engine", "vectorized"],
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert f"invalid choice: '{argv[-1]}'" in errors[0]
+        assert "Traceback" not in err
 
 
 def test_telemetry_flag_on_existing_subcommand(tmp_path, capsys):

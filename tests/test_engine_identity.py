@@ -1,11 +1,13 @@
-"""Engine identity: vectorized and reference simulation are bit-identical.
+"""Engine identity: batched and reference simulation are bit-identical.
 
-The vectorized engine (block-batched stepping, numpy cache streams,
-steady-state fast-forwarding, invocation memoization) must reproduce the
-scalar reference engine exactly -- same cycles, seconds, instruction
-counts, and cache hit/miss/eviction/writeback counts -- not merely
-approximately.  These tests drive both engines over the same invocation
-sequences with identically seeded RNGs and compare every field.
+The batched engine (block-batched stepping, numpy cache streams merged
+across an epoch's dispatches, steady-state fast-forwarding, epoch
+memoization) must reproduce the scalar reference engine exactly -- same
+cycles, seconds, instruction counts, and cache hit/miss/eviction/
+writeback counts -- not merely approximately.  These tests drive both
+engines over the same invocation sequences with identically seeded RNGs
+and compare every field, one dispatch at a time (epochs of one) and
+with whole sequences as one epoch.
 """
 
 import dataclasses
@@ -59,6 +61,18 @@ def run_sequence(invocations, engine, memoize=True, seed=7):
     return results, simulator
 
 
+def run_epoch(invocations, memoize=True, seed=7, repeats=1):
+    """Simulate the whole sequence as one batched epoch, ``repeats`` times."""
+    simulator = DetailedGPUSimulator(
+        HD4000, CACHE, engine="batched", memoize=memoize
+    )
+    rng = np.random.default_rng(seed)
+    results = []
+    for _ in range(repeats):
+        results.extend(simulator.simulate_epoch(invocations, rng))
+    return results, simulator, rng
+
+
 def assert_identical(got, want):
     """Every SimulatedDispatch field, bit-for-bit."""
     assert len(got) == len(want)
@@ -101,27 +115,29 @@ SEQUENCES = {
 
 @pytest.mark.parametrize("label", sorted(SEQUENCES))
 def test_engines_bit_identical(label):
+    """One dispatch at a time: each simulate() call is an epoch of one."""
     invocations = SEQUENCES[label]
     ref, ref_sim = run_sequence(invocations, "reference")
-    vec, vec_sim = run_sequence(invocations, "vectorized")
-    assert_identical(vec, ref)
+    bat, bat_sim = run_sequence(invocations, "batched")
+    assert_identical(bat, ref)
     # Lifetime accounting matches too: same cache totals, same stepped
     # instructions (memo replays count the instructions they cover).
-    assert dataclasses.asdict(vec_sim.cache.stats) == dataclasses.asdict(
+    assert dataclasses.asdict(bat_sim.cache.stats) == dataclasses.asdict(
         ref_sim.cache.stats
     )
     assert (
-        vec_sim.total_simulated_instructions
+        bat_sim.total_simulated_instructions
         == ref_sim.total_simulated_instructions
     )
 
 
 @pytest.mark.parametrize("label", sorted(SEQUENCES))
 def test_memoization_transparent(label):
-    """Memoization on vs off never changes any result."""
+    """Epoch memo on vs off, replaying whole-sequence epochs, changes
+    no result."""
     invocations = SEQUENCES[label]
-    plain, plain_sim = run_sequence(invocations, "vectorized", memoize=False)
-    memo, memo_sim = run_sequence(invocations, "vectorized", memoize=True)
+    plain, plain_sim, _ = run_epoch(invocations, memoize=False, repeats=3)
+    memo, memo_sim, _ = run_epoch(invocations, memoize=True, repeats=3)
     assert_identical(memo, plain)
     assert dataclasses.asdict(memo_sim.cache.stats) == dataclasses.asdict(
         plain_sim.cache.stats
@@ -129,10 +145,11 @@ def test_memoization_transparent(label):
 
 
 def test_memoization_hits_repeated_invocations():
+    """Lone simulate() calls share the epoch memo."""
     kernel = build_tiny_kernel()
     invocations = [(kernel, {"iters": 4.0, "n": 64.0}, 64)] * 6
-    results, simulator = run_sequence(invocations, "vectorized")
-    assert simulator.memo_hits > 0
+    results, simulator = run_sequence(invocations, "batched")
+    assert simulator.epoch_memo_hits > 0
     assert simulator.memo_stepped_avoided > 0
     # The first invocation runs on a cold cache; the second reaches the
     # warmed steady state, which every later replay reproduces exactly.
@@ -140,35 +157,48 @@ def test_memoization_hits_repeated_invocations():
 
 
 def test_rng_state_advances_identically():
-    """Both engines leave the caller's generator in the same state."""
+    """A whole-sequence epoch leaves the generator where the reference
+    engine's per-dispatch walk does."""
     invocations = SEQUENCES["jittered"] + SEQUENCES["random-uniform"]
     ref_rng = np.random.default_rng(11)
-    vec_rng = np.random.default_rng(11)
     ref_sim = DetailedGPUSimulator(HD4000, CACHE, engine="reference")
-    vec_sim = DetailedGPUSimulator(HD4000, CACHE, engine="vectorized")
     for kernel, args, gws in invocations:
         ref_sim.simulate(kernel, args, gws, ref_rng)
-        vec_sim.simulate(kernel, args, gws, vec_rng)
-    assert repr(ref_rng.bit_generator.state) == repr(vec_rng.bit_generator.state)
+    _, _, bat_rng = run_epoch(invocations, seed=11)
+    assert repr(ref_rng.bit_generator.state) == repr(bat_rng.bit_generator.state)
 
 
 def test_simulate_full_engine_identity(small_workload, small_app):
-    """The whole sampled-simulation entry point agrees across engines."""
-    ref = simulate_full(
-        small_app.name, small_app.sources, small_workload.log, HD4000,
-        CACHE, engine="reference",
-    )
-    vec = simulate_full(
-        small_app.name, small_app.sources, small_workload.log, HD4000,
-        CACHE, engine="vectorized",
-    )
-    assert vec.measured_spi == ref.measured_spi
-    assert vec.simulated_instructions == ref.simulated_instructions
+    """simulate_full steps the reference engine through the epoch
+    partition exactly as a plain per-invocation loop does, and the
+    default engine agrees with both."""
+    log = small_workload.log
+    simulator = DetailedGPUSimulator(HD4000, CACHE, engine="reference")
+    rng = np.random.default_rng(0)
+    seconds = 0.0
+    instructions = 0
+    for profile in log.invocations:
+        result = simulator.simulate(
+            small_app.sources[profile.kernel_name].body,
+            {**dict(profile.data_items), **dict(profile.arg_items)},
+            profile.global_work_size,
+            rng,
+        )
+        seconds += result.seconds
+        instructions += result.instruction_count
+    for engine in ({"engine": "reference"}, {}):
+        full = simulate_full(
+            small_app.name, small_app.sources, log, HD4000, CACHE, **engine
+        )
+        assert full.measured_spi == seconds / instructions
+        assert full.simulated_instructions == instructions
 
 
 def test_unknown_engine_rejected():
-    with pytest.raises(ValueError, match="engine"):
-        DetailedGPUSimulator(HD4000, CACHE, engine="warp-speed")
+    # "vectorized" is a retired engine name.
+    for engine in ("warp-speed", "vectorized"):
+        with pytest.raises(ValueError, match="engine"):
+            DetailedGPUSimulator(HD4000, CACHE, engine=engine)
 
 
 # -- batched (cross-dispatch) engine -----------------------------------------
@@ -176,9 +206,10 @@ def test_unknown_engine_rejected():
 
 @pytest.mark.parametrize("label", sorted(SEQUENCES))
 def test_batched_engine_bit_identical(label):
+    """The whole sequence as one epoch: merged streams, same results."""
     invocations = SEQUENCES[label]
     ref, ref_sim = run_sequence(invocations, "reference")
-    bat, bat_sim = run_sequence(invocations, "batched")
+    bat, bat_sim, _ = run_epoch(invocations)
     assert_identical(bat, ref)
     assert dataclasses.asdict(bat_sim.cache.stats) == dataclasses.asdict(
         ref_sim.cache.stats

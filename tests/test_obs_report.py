@@ -123,6 +123,29 @@ def test_report_flags_partial_profiles(tm, log):
     assert "partial" in html
 
 
+def test_simulation_memo_hit_rate_reads_the_epoch_memo(
+    tm, small_workload, small_app
+):
+    """A default-engine simulation fills the memo row in both the HTML
+    report and the live health document."""
+    from repro.gpu.device import HD4000
+    from repro.obs import live
+    from repro.simulation.sampled import simulate_full
+
+    simulate_full(
+        small_app.name, small_app.sources, small_workload.log, HD4000,
+        engine="batched",
+    )
+    assert tm.counters.value("simulation.epoch_memo_misses") > 0
+    assert "Simulation memo" in render_report(tm)
+    hub = live.enable()
+    try:
+        rate = hub.health_doc()["hit_rates"].get("simulation_memo")
+    finally:
+        live.disable()
+    assert rate is not None and 0.0 <= rate <= 1.0
+
+
 def test_write_report(tm, log, tmp_path):
     _recorded(tm, log)
     out = tmp_path / "run.html"

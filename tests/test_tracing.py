@@ -157,7 +157,7 @@ def _record(command="profile", **overrides):
         app="cb-gaussian-buffer",
         kind="profile",
         device="HD4000",
-        engine="vectorized",
+        engine="batched",
         status="ok",
         started_unix=1_700_000_000.0,
         duration_seconds=1.5,
@@ -333,6 +333,29 @@ def test_cli_runs_error_exits(cli_ledger, capsys):
     assert main(["runs", "show", "7", "--ledger", str(path)]) == 1
     assert "no run 7" in capsys.readouterr().err
     assert main(["runs", "diff", "1", "--ledger", str(path)]) == 2
+
+
+def test_ledger_runs_with_the_retired_engine_name_still_render(
+    cli_ledger, capsys
+):
+    """Records written when ``vectorized`` was an engine stay readable."""
+    from repro.obs.report import render_report
+
+    path, ledger = cli_ledger
+    old = ledger.record_run(
+        _record(engine="vectorized", duration_seconds=1.0)
+    )
+    new = ledger.record_run(_record(duration_seconds=2.0))
+    assert main(["runs", "list", "--ledger", str(path)]) == 0
+    assert f"{old}" in capsys.readouterr().out
+    assert main(["runs", "show", str(old), "--ledger", str(path)]) == 0
+    assert "engine: vectorized" in capsys.readouterr().out
+    assert main(["runs", "diff", str(old), str(new),
+                 "--ledger", str(path)]) == 0
+    assert "duration_seconds: 1 -> 2" in capsys.readouterr().out
+    html = render_report(Telemetry(), ledger=ledger)
+    assert "Run-over-run (ledger)" in html
+    assert f"Comparing ledger runs {old} (profile) -&gt; {new}" in html
 
 
 def test_cli_runs_reads_ledger_from_env(cli_ledger, monkeypatch, capsys):
