@@ -18,9 +18,10 @@ for that run and write a Chrome trace (``--telemetry-out``, default
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import sys
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro import __version__, faults, telemetry
 from repro.faults import FaultPlan
@@ -76,6 +77,54 @@ def _cache(args: argparse.Namespace) -> ProfileCache | None:
     if flag is None:
         return ProfileCache.from_env()
     return ProfileCache(flag or None)
+
+
+@contextlib.contextmanager
+def _capture(
+    events: bool = False, live: bool = False, port: int | None = None
+) -> Iterator[tuple]:
+    """The one CLI capture scope: telemetry, plus the event log with
+    ``events`` and the live hub with ``live`` (serving ``port`` when
+    given).  Registries a caller already enabled are reused; the ones
+    enabled here are disabled on exit, restoring the previous state --
+    also when enabling the live endpoint fails to bind its port.
+    Yields ``(telemetry, event log, live hub)``.
+    """
+    from repro.obs import events as obs_events
+    from repro.obs import live as obs_live
+
+    restore = []
+    try:
+        tm = telemetry.get()
+        if not tm.enabled:
+            tm = telemetry.enable()
+            restore.append(telemetry.disable)
+        log = obs_events.get()
+        if events and not log.enabled:
+            log = obs_events.enable()
+            restore.append(obs_events.disable)
+        hub = obs_live.get()
+        if live and not hub.enabled:
+            hub = obs_live.enable(port=port)
+            restore.append(obs_live.disable)
+        yield tm, log, hub
+    finally:
+        for disable in reversed(restore):
+            disable()
+
+
+def _port_in_use(exc: OSError, what: str, port: int) -> int:
+    """Turn a bind failure on an in-use port into one stderr line and
+    exit status 2; any other OS error propagates."""
+    if exc.errno != errno.EADDRINUSE:
+        raise exc
+    print(
+        f"gtpin: {what} cannot bind port {port}: address already in use; "
+        "pick another port (or 0 for an ephemeral one), or stop the "
+        "process currently bound to it",
+        file=sys.stderr,
+    )
+    return 2
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -535,17 +584,9 @@ def _cmd_report_html(args: argparse.Namespace) -> int:
     """``report --out x.html``: the full study under telemetry + event
     capture, rendered as one self-contained HTML page."""
     from repro.analysis.study import render_study, run_full_study
-    from repro.obs import events as obs_events
     from repro.obs.report import write_report
 
-    # Reuse registries a --telemetry / --report wrapper already enabled.
-    tm, log = telemetry.get(), obs_events.get()
-    enabled_tm = enabled_log = False
-    if not tm.enabled:
-        tm, enabled_tm = telemetry.enable(), True
-    if not log.enabled:
-        log, enabled_log = obs_events.enable(), True
-    try:
+    with _capture(events=True) as (tm, log, _):
         results = run_full_study(
             scale=args.scale, seed=args.seed, device=_device(args.device),
             jobs=args.jobs, cache=_cache(args),
@@ -555,11 +596,6 @@ def _cmd_report_html(args: argparse.Namespace) -> int:
             title=f"GT-Pin full study (scale {args.scale:g}, "
             f"{args.device})",
         )
-    finally:
-        if enabled_tm:
-            telemetry.disable()
-        if enabled_log:
-            obs_events.disable()
     print(render_study(results))
     print(f"(HTML report written to {args.out})")
     return 0
@@ -687,15 +723,12 @@ def _cmd_trace_show(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    if args.app == "show":
-        return _cmd_trace_show(args)
     if args.app not in SUITE_NAMES:
         print(f"gtpin trace: unknown application {args.app!r} "
               "(list with 'gtpin suite', or use 'gtpin trace show "
               "<trace_id>')", file=sys.stderr)
         return 2
-    tm = telemetry.enable()
-    try:
+    with _capture() as (tm, _, _):
         device = _device(args.device)
         app = load_app(args.app, scale=args.scale)
         with tm.span(
@@ -733,8 +766,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
               "chrome://tracing or https://ui.perfetto.dev)")
         if args.jsonl:
             print(f"(JSONL event log written to {args.jsonl})")
-    finally:
-        telemetry.disable()
     return 0
 
 
@@ -818,79 +849,60 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_validate(args)
     if args.command == "disasm":
         return _cmd_disasm(args)
+    if args.command == "trace":
+        return _cmd_trace(args)
     raise AssertionError(f"unhandled command {args.command!r}")
-
-
-def _port_in_use(what: str, port: int) -> int:
-    print(
-        f"gtpin: {what} cannot bind port {port}: address already in use; "
-        "pick another port (or 0 for an ephemeral one), or stop the "
-        "process currently bound to it",
-        file=sys.stderr,
-    )
-    return 2
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """``gtpin serve``: the profiling-as-a-service daemon."""
     import time
 
-    from repro.obs import events as obs_events
-    from repro.obs import live as obs_live
     from repro.serve.server import ServeDaemon
 
     cache = _cache(args)
     ledger = _resolve_ledger(args)
-    telemetry.enable()
-    obs_events.enable()
-    hub = obs_live.enable()
-    hub.set_command("gtpin serve")
-    try:
-        daemon = ServeDaemon(
-            port=args.port,
-            host=args.host,
-            workers=args.workers,
-            capacity=args.queue_capacity,
-            cache=cache,
-            sim_engine=args.sim_engine,
-            ledger=ledger,
+    with _capture(events=True, live=True) as (_, _, hub):
+        hub.set_command("gtpin serve")
+        try:
+            daemon = ServeDaemon(
+                port=args.port,
+                host=args.host,
+                workers=args.workers,
+                capacity=args.queue_capacity,
+                cache=cache,
+                sim_engine=args.sim_engine,
+                ledger=ledger,
+            )
+        except OSError as exc:
+            return _port_in_use(exc, "gtpin serve", args.port)
+        daemon.start()
+        print(
+            f"gtpin serve: listening on http://{args.host}:{daemon.port} "
+            f"({args.workers} workers, queue capacity "
+            f"{args.queue_capacity}, "
+            f"cache {'on' if cache is not None else 'off'}, "
+            f"ledger {'on' if ledger is not None else 'off'})"
         )
-    except OSError as exc:
-        obs_live.disable()
-        telemetry.disable()
-        obs_events.disable()
-        if exc.errno == errno.EADDRINUSE:
-            return _port_in_use("gtpin serve", args.port)
-        raise
-    daemon.start()
-    print(
-        f"gtpin serve: listening on http://{args.host}:{daemon.port} "
-        f"({args.workers} workers, queue capacity {args.queue_capacity}, "
-        f"cache {'on' if cache is not None else 'off'}, "
-        f"ledger {'on' if ledger is not None else 'off'})"
-    )
-    print(
-        f"  submit jobs:  POST http://{args.host}:{daemon.port}/v1/jobs"
-    )
-    print(
-        f"  watch:        gtpin top --port {daemon.port}  "
-        f"(or GET /health, /metrics)"
-    )
-    sys.stdout.flush()
-    try:
-        if args.duration is not None:
-            time.sleep(args.duration)
-        else:  # pragma: no cover - interactive loop
-            while True:
-                time.sleep(3600.0)
-    except KeyboardInterrupt:
-        print("\ngtpin serve: interrupted; draining...")
-    finally:
-        counts = daemon.queue.counts()
-        daemon.stop()
-        obs_live.disable()
-        telemetry.disable()
-        obs_events.disable()
+        print(
+            f"  submit jobs:  POST http://{args.host}:{daemon.port}/v1/jobs"
+        )
+        print(
+            f"  watch:        gtpin top --port {daemon.port}  "
+            f"(or GET /health, /metrics)"
+        )
+        sys.stdout.flush()
+        try:
+            if args.duration is not None:
+                time.sleep(args.duration)
+            else:  # pragma: no cover - interactive loop
+                while True:
+                    time.sleep(3600.0)
+        except KeyboardInterrupt:
+            print("\ngtpin serve: interrupted; draining...")
+        finally:
+            counts = daemon.queue.counts()
+            daemon.stop()
     print(
         "gtpin serve: done "
         f"({counts['done']} done, {counts['failed']} failed, "
@@ -968,8 +980,9 @@ def _run(args: argparse.Namespace) -> int:
         return _cmd_serve(args)
     if args.command == "runs":
         return _cmd_runs(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
+    if args.command == "trace" and args.app == "show":
+        # --ledger names the ledger to read here, not one to record to.
+        return _cmd_trace_show(args)
     from repro.obs import live as obs_live
 
     want_trace = getattr(args, "telemetry", False)
@@ -983,69 +996,53 @@ def _run(args: argparse.Namespace) -> int:
     # under capturing registries (live serving needs them too), then
     # export the Chrome trace / HTML report / ledger record and a
     # one-screen summary.
-    from repro.obs import events as obs_events
-
-    tm = telemetry.enable()
-    log = (
-        obs_events.enable()
-        if (report_out or live_port is not None)
-        else None
-    )
-    hub = None
-    if live_port is not None:
-        try:
-            hub = obs_live.enable(port=live_port)
-        except OSError as exc:
-            telemetry.disable()
-            if log is not None:
-                obs_events.disable()
-            if exc.errno == errno.EADDRINUSE:
-                return _port_in_use("--live-port", live_port)
-            raise
-        hub.set_command(f"gtpin {args.command}")
-        print(f"(live endpoint: http://127.0.0.1:{hub.server.port}"
-              "/metrics and /health -- watch with "
-              f"'gtpin top --port {hub.server.port}')")
     from repro.telemetry import context as trace_context
 
-    # With a ledger configured, the whole command is one trace: root
-    # spans opened below join this context, and the record + spans land
-    # in the ledger afterwards.
-    run_ctx = (
-        trace_context.TraceContext(telemetry.new_trace_id())
-        if ledger is not None
-        else None
-    )
-    import time as time_mod
-
-    started_unix = time_mod.time()
     try:
-        with trace_context.activate(run_ctx):
-            status = _dispatch(args)
-        if want_trace:
-            telemetry.write_chrome_trace(tm, args.telemetry_out)
-            print()
-            print(telemetry.span_tree_summary(tm))
-            print(f"(telemetry trace written to {args.telemetry_out}; open "
-                  "it in chrome://tracing or https://ui.perfetto.dev)")
-        if ledger is not None:
-            _append_run_record(
-                ledger, args, run_ctx, tm, started_unix, status
+        with _capture(
+            events=bool(report_out or live_port is not None),
+            live=live_port is not None,
+            port=live_port,
+        ) as (tm, log, hub):
+            if hub.server is not None:
+                hub.set_command(f"gtpin {args.command}")
+                print(f"(live endpoint: http://127.0.0.1:{hub.server.port}"
+                      "/metrics and /health -- watch with "
+                      f"'gtpin top --port {hub.server.port}')")
+            # With a ledger configured, the whole command is one trace:
+            # root spans opened below join this context, and the record
+            # + spans land in the ledger afterwards.
+            run_ctx = (
+                trace_context.TraceContext(telemetry.new_trace_id())
+                if ledger is not None
+                else None
             )
-        if report_out:
-            from repro.obs.report import write_report
+            import time as time_mod
 
-            write_report(
-                report_out, tm, log=log, ledger=ledger,
-                title=f"gtpin {args.command} run report",
-            )
-            print(f"(HTML run report written to {report_out})")
-    finally:
-        if hub is not None:
-            obs_live.disable()
-        telemetry.disable()
-        if log is not None:
-            obs_events.disable()
+            started_unix = time_mod.time()
+            with trace_context.activate(run_ctx):
+                status = _dispatch(args)
+            if want_trace:
+                telemetry.write_chrome_trace(tm, args.telemetry_out)
+                print()
+                print(telemetry.span_tree_summary(tm))
+                print(f"(telemetry trace written to {args.telemetry_out}; "
+                      "open it in chrome://tracing or "
+                      "https://ui.perfetto.dev)")
+            if ledger is not None:
+                _append_run_record(
+                    ledger, args, run_ctx, tm, started_unix, status
+                )
+            if report_out:
+                from repro.obs.report import write_report
+
+                write_report(
+                    report_out, tm, log=log, ledger=ledger,
+                    title=f"gtpin {args.command} run report",
+                )
+                print(f"(HTML run report written to {report_out})")
+    except OSError as exc:
+        return _port_in_use(exc, "--live-port", live_port)
     return status
 
 

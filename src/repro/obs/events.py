@@ -14,10 +14,11 @@ default, ``enable()/disable()/session()`` to switch.  Emit sites guard
 on ``log.enabled`` where they sit inside hot loops, so the off cost is
 one attribute check.
 
-Worker processes run their own session (the parallel pool ships worker
-records back with each task result and the parent folds them in -- see
-:mod:`repro.parallel.pool`), so the merged log is complete under
-``--jobs N``.
+Worker processes run their own session; every record rides back in the
+task's final :class:`~repro.telemetry.snapshot.TelemetryDelta` next to
+the worker's spans and series, and the pool absorbs them into the
+parent's log (see :mod:`repro.parallel.pool`), so the merged log is
+complete under ``--jobs N``.
 """
 
 from __future__ import annotations

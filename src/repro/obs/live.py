@@ -8,10 +8,13 @@ this module explains it *while it happens*.  Three pieces:
   (:class:`~repro.telemetry.snapshot.TelemetryDelta`) stream into its
   :class:`~repro.telemetry.snapshot.DeltaAccumulator`, and scrapes
   combine that in-flight state with the parent's own telemetry
-  registry.  When a task's *final* snapshot is merged into the parent
-  registry the task's delta source is retired, so a scrape never double
-  counts -- and once every source is retired the endpoint's totals
-  equal the end-of-run merged telemetry exactly.
+  registry through the one fold
+  (:func:`~repro.telemetry.snapshot.fold_series`).  When a task's
+  *final* delta is merged into the parent registry the task's delta
+  source is retired, and a batch retires every source it assigned when
+  it tears down (a worker that died never ships a final delta), so a
+  scrape never double counts -- and once every source is retired the
+  endpoint's totals equal the end-of-run merged telemetry exactly.
 * :class:`LiveServer` -- a stdlib ``http.server`` thread serving
   ``/metrics`` (Prometheus-style text, see :mod:`repro.obs.metrics`),
   ``/health`` (a JSON progress/health document), and ``/events`` (the
@@ -37,8 +40,13 @@ from typing import Any
 from repro import telemetry
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
-from repro.telemetry.histograms import Histogram
-from repro.telemetry.snapshot import DeltaAccumulator, TelemetryDelta
+from repro.telemetry.counters import CounterSet
+from repro.telemetry.snapshot import (
+    EVENT_TAIL,
+    DeltaAccumulator,
+    TelemetryDelta,
+    fold_series,
+)
 
 #: Port environment control (the CLI flag wins).
 PORT_ENV = "REPRO_LIVE_PORT"
@@ -54,9 +62,6 @@ INSTRUCTION_COUNTERS = (
     "gtpin.instrumented_instructions",
     "simulation.stepped_instructions",
 )
-
-#: Recent-event tail length served by ``/events`` and ``/health``.
-EVENT_TAIL = 50
 
 
 def resolve_port(port: int | None = None) -> int | None:
@@ -208,60 +213,34 @@ class LiveHub:
             lane.final = lane.final or delta.final
 
     def retire_source(self, source: str) -> None:
-        """The source's final snapshot was merged into the parent
-        registry; drop its in-flight contribution so scrapes never
-        double count."""
+        """The source's final delta was merged into the parent registry
+        (or its worker died); drop its in-flight contribution so scrapes
+        never double count."""
         with self._lock:
             self.accumulator.drop_source(source)
             self._lanes.pop(source, None)
 
     # -- merged view ---------------------------------------------------------
 
-    def _merged(self) -> tuple[dict[str, float], dict[str, Any], dict[str, Histogram]]:
-        """Parent registry + unretired in-flight worker state."""
+    def _merged(self) -> tuple[dict[str, float], CounterSet]:
+        """Parent registry + unretired in-flight worker state, and its
+        counter values."""
+        merged = CounterSet()
         tm = telemetry.get()
-        counters: dict[str, float] = {}
-        gauges: dict[str, Any] = {}
-        histograms: dict[str, Histogram] = {}
         if tm.enabled:
-            for name, counter in list(tm.counters.counters.items()):
-                counters[name] = counter.value
-            for name, gauge in list(tm.counters.gauges.items()):
-                gauges[name] = gauge
-            for name, hist in list(tm.counters.histograms.items()):
-                clone = Histogram(name, hist.unit)
-                clone.merge(hist)
-                histograms[name] = clone
+            series = tm.counters
+            fold_series(
+                merged,
+                list(series.counters.values()),
+                list(series.gauges.values()),
+                list(series.histograms.values()),
+            )
         with self._lock:
-            live_counters = self.accumulator.counter_totals()
-            live_gauges = self.accumulator.gauge_totals()
-            live_hists = self.accumulator.histogram_totals()
-        for name, value in live_counters.items():
-            counters[name] = counters.get(name, 0.0) + value
-        for name, snapshot in live_gauges.items():
-            held = gauges.get(name)
-            if held is None:
-                gauges[name] = snapshot
-            else:
-                merged = type(snapshot)(
-                    name=name,
-                    last=snapshot.last,
-                    count=held.count + snapshot.count,
-                    total=held.total + snapshot.total,
-                    minimum=min(held.minimum, snapshot.minimum),
-                    maximum=max(held.maximum, snapshot.maximum),
-                    samples=(),
-                )
-                gauges[name] = merged
-        for name, live_hist in live_hists.items():
-            held = histograms.get(name)
-            if held is None:
-                histograms[name] = live_hist
-            else:
-                held.merge(live_hist)
-        return counters, gauges, histograms
+            self.accumulator.fold_into(merged)
+        values = {name: c.value for name, c in merged.counters.items()}
+        return values, merged
 
-    def _overhead_lines(self, counters_unused: dict[str, float]) -> list[str]:
+    def _overhead_lines(self) -> list[str]:
         """Self-overhead attribution as labelled gauges (lazy import:
         the overhead module pulls the whole gtpin stack)."""
         try:
@@ -289,7 +268,7 @@ class LiveHub:
         ) + obs_metrics.render_labelled("self_overhead_operations", ops_rows)
 
     def metrics_text(self) -> str:
-        counters, gauges, histograms = self._merged()
+        counters, merged = self._merged()
         uptime = max(time.time() - self.started_unix, 1e-9)
         instructions = sum(
             counters.get(name, 0.0) for name in INSTRUCTION_COUNTERS
@@ -305,10 +284,10 @@ class LiveHub:
         extra += obs_metrics.render_gauge("tasks_failed", failed)
         log = obs_events.get()
         extra += obs_metrics.render_gauge("events_dropped", log.dropped)
-        extra += self._overhead_lines(counters)
+        extra += self._overhead_lines()
         extra += self._section_metrics()
         return obs_metrics.exposition(
-            counters, gauges, histograms, extra_lines=extra
+            counters, merged.gauges, merged.histograms, extra_lines=extra
         )
 
     # -- health document -----------------------------------------------------
@@ -341,8 +320,13 @@ class LiveHub:
     def _recent_events(self, min_level: str = "WARN") -> list[dict[str, Any]]:
         log = obs_events.get()
         local = log.records(min_level=min_level) if log.enabled else []
+        floor = obs_events.LEVELS.index(min_level)
         with self._lock:
-            shipped = list(self.accumulator.events)
+            shipped = [
+                record
+                for record in self.accumulator.events()
+                if obs_events.LEVELS.index(record.level) >= floor
+            ]
         merged: dict[tuple, Any] = {}
         for record in local + shipped:
             key = (record.ts_unix, record.level, record.name, record.fields)
@@ -351,7 +335,7 @@ class LiveHub:
         return [r.to_json() for r in ordered[-EVENT_TAIL:]]
 
     def health_doc(self) -> dict[str, Any]:
-        counters, _, _ = self._merged()
+        counters, _ = self._merged()
         now = time.time()
         uptime = max(now - self.started_unix, 1e-9)
         done, total, failed = self._task_counts()

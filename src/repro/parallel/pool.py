@@ -11,10 +11,11 @@ speedup while preserving three guarantees the sweep drivers rely on:
   bit-identical to the serial one.
 * **Isolation** -- a task that raises is captured as a per-task error
   (:class:`TaskOutcome`); the other tasks still complete and return.
-* **Observability** -- when telemetry is enabled, each worker records
-  into its own fresh registry and ships a snapshot back; the parent
-  merges every snapshot (in task order) so the Chrome trace stays
-  complete under parallel runs (see :mod:`repro.telemetry.snapshot`).
+* **Observability** -- when capture is on, each worker records into its
+  own fresh registry and event log and ships one final
+  :class:`~repro.telemetry.snapshot.TelemetryDelta` back with the
+  result; the parent merges them in task order, so the Chrome trace and
+  event log stay complete under parallel runs.
 
 Job count comes from the explicit ``jobs`` argument, else the
 ``REPRO_JOBS`` environment variable, else 1 (serial).  ``jobs=0``
@@ -40,13 +41,8 @@ from typing import Any, Callable, Sequence
 from repro import telemetry
 from repro.obs import events as obs_events
 from repro.obs import live as obs_live
-from repro.obs.events import EventRecord
 from repro.telemetry import context as trace_context
-from repro.telemetry.snapshot import (
-    DeltaTracker,
-    TelemetrySnapshot,
-    capture_snapshot,
-)
+from repro.telemetry.snapshot import DeltaTracker, TelemetryDelta
 
 #: Job-count environment control (``0`` = all cores).
 JOBS_ENV = "REPRO_JOBS"
@@ -113,16 +109,13 @@ class TaskOutcome:
 
 @dataclasses.dataclass(frozen=True)
 class _WorkerResult:
-    """What a worker process ships back per task."""
+    """What a worker process ships back per task: the task's value or
+    error, and its final telemetry delta (``None`` without capture)."""
 
     value: Any
     error: str | None
     traceback: str | None
-    snapshot: TelemetrySnapshot | None
-    events: tuple[EventRecord, ...] = ()
-    #: Heartbeat source name, so the parent can retire the source's
-    #: in-flight live-hub contribution after merging the final snapshot.
-    source: str = ""
+    final: TelemetryDelta | None
 
 
 def _heartbeat_loop(
@@ -135,7 +128,7 @@ def _heartbeat_loop(
 ) -> None:
     """Worker-side ticker: ship a delta every ``interval`` seconds while
     the task runs.  Any channel failure ends heartbeating quietly -- the
-    end-of-task snapshot still delivers everything."""
+    final delta in the task result still delivers everything."""
     while not stop.wait(interval):
         try:
             delta = tracker.capture(tm, log)
@@ -153,7 +146,8 @@ def _run_task(
     trace: tuple[str, int | None] | None = None,
 ) -> _WorkerResult:
     """Worker-side wrapper: run one task under fresh telemetry and
-    event-log sessions; both are shipped back for the parent to merge.
+    event-log sessions and ship them back as one final
+    :class:`~repro.telemetry.snapshot.TelemetryDelta`.
 
     ``trace`` is the parent's ``(trace_id, fan-out span id)``: the
     worker activates it as a :class:`~repro.telemetry.context
@@ -161,10 +155,10 @@ def _run_task(
     dispatching request's trace and parents under the fan-out span --
     with globally-unique span ids, the merged edges need no remapping.
 
-    With a ``heartbeat`` spec, a daemon ticker thread additionally
-    streams :class:`~repro.telemetry.snapshot.TelemetryDelta` heartbeats
-    over the side channel while the task runs, ending with a ``final``
-    delta -- the live endpoint's in-flight view (see
+    With a ``heartbeat`` spec ``(queue, source, task label, interval)``
+    a daemon ticker thread additionally streams heartbeat deltas over
+    the side channel while the task runs, and the final delta is put
+    there too -- the live endpoint's in-flight view (see
     :mod:`repro.obs.live`).
     """
     os.environ[WORKER_ENV] = "1"
@@ -180,8 +174,8 @@ def _run_task(
         ctx = trace_context.TraceContext(trace[0], trace[1])
     with telemetry.session() as tm, obs_events.session() as log, \
             trace_context.activate(ctx):
-        tracker = stop = ticker = None
-        source = ""
+        heartbeat_queue = stop = ticker = None
+        tracker = DeltaTracker("")
         if heartbeat is not None:
             try:
                 heartbeat_queue, source, task_label, interval = heartbeat
@@ -195,8 +189,7 @@ def _run_task(
                 )
                 ticker.start()
             except Exception:
-                tracker = stop = ticker = None
-                source = ""
+                heartbeat_queue = stop = ticker = None
         start = time.perf_counter()
         error = tb = None
         try:
@@ -208,23 +201,16 @@ def _run_task(
         tm.observe_hist(
             "parallel.task_seconds", time.perf_counter() - start, "s"
         )
-        if tracker is not None:
+        if ticker is not None:
             stop.set()
             ticker.join(timeout=5.0)
+        final = tracker.capture(tm, log, final=True)
+        if heartbeat_queue is not None:
             try:
-                final = tracker.capture(tm, log, final=True)
-                if final is not None:
-                    heartbeat_queue.put(final)
+                heartbeat_queue.put(final)
             except Exception:
                 pass
-        return _WorkerResult(
-            value,
-            error,
-            tb,
-            capture_snapshot(tm),
-            tuple(log.records()),
-            source,
-        )
+        return _WorkerResult(value, error, tb, final)
 
 
 def _format_error(exc: BaseException) -> str:
@@ -235,7 +221,7 @@ def _serial_map(
     fn: Callable[..., Any], tasks: Sequence[tuple], batch_id: int = -1
 ) -> list[TaskOutcome]:
     """In-process execution; telemetry records directly into the caller's
-    registry, so no snapshot plumbing is needed (and the live endpoint
+    registry, so no final-delta plumbing is needed (and the live endpoint
     reads the caller's registry directly -- serial runs are inherently
     live)."""
     tm = telemetry.get()
@@ -383,6 +369,12 @@ def _pool_map(
         channel = _start_heartbeat_channel(hub)
     interval = obs_live.heartbeat_interval() if channel else 0.0
     task_name = getattr(fn, "__name__", "task")
+    # One heartbeat source per task, all retired at batch teardown.
+    sources = (
+        [f"b{batch_id}.t{index}" for index in range(len(tasks))]
+        if channel is not None
+        else []
+    )
     parent_span_id = tm.current_span_id()
     # Hand the dispatching request's trace (and the fan-out span as the
     # parent) to every worker; "" means "no trace", which still carries
@@ -393,9 +385,7 @@ def _pool_map(
         else None
     )
     outcomes: list[TaskOutcome | None] = [None] * len(tasks)
-    snapshots: list[TelemetrySnapshot | None] = [None] * len(tasks)
-    worker_events: list[tuple[EventRecord, ...]] = [()] * len(tasks)
-    sources: list[str] = [""] * len(tasks)
+    finals: list[TelemetryDelta | None] = [None] * len(tasks)
     with executor:
         futures = {}
         for index, args in enumerate(tasks):
@@ -403,7 +393,7 @@ def _pool_map(
             if channel is not None:
                 heartbeat = (
                     channel[1],
-                    f"b{batch_id}.t{index}",
+                    sources[index],
                     f"{task_name}[{index}]",
                     interval,
                 )
@@ -434,9 +424,7 @@ def _pool_map(
                 error=result.error,
                 traceback=result.traceback,
             )
-            snapshots[index] = result.snapshot
-            worker_events[index] = result.events
-            sources[index] = result.source
+            finals[index] = result.final
             if hub.enabled:
                 hub.task_done(batch_id, ok=result.error is None)
     if channel is not None:
@@ -451,19 +439,20 @@ def _pool_map(
             manager.shutdown()
         except Exception:
             pass
-    if capture and tm.enabled:
-        # Deterministic merge order: task order, not completion order.
-        # Retiring each source right after its snapshot merges keeps the
-        # live totals monotonic: the worker's contribution moves from
-        # the accumulator into the parent registry, never vanishing.
-        for index, snapshot in enumerate(snapshots):
-            if snapshot is not None:
-                telemetry.merge_snapshot(tm, snapshot, parent_span_id)
-                if sources[index] and hub.enabled:
-                    hub.retire_source(sources[index])
-    if capture:
-        log = obs_events.get()
-        if log.enabled:
-            for records in worker_events:
-                log.absorb(records)
+    # Deterministic merge order: task order, not completion order.
+    # Retiring each source right after its final delta merges keeps the
+    # live totals monotonic: the worker's contribution moves from the
+    # accumulator into the parent registry, never vanishing.
+    log = obs_events.get()
+    for index, final in enumerate(finals):
+        if final is not None:
+            telemetry.merge_snapshot(tm, final, parent_span_id)
+            log.absorb(final.events)
+            if sources:
+                hub.retire_source(sources[index])
+    # A worker that died mid-task shipped heartbeats but no final delta;
+    # retiring every source the batch assigned keeps its lane and
+    # in-flight counters from outliving the batch.
+    for source in sources:
+        hub.retire_source(source)
     return [o for o in outcomes if o is not None]

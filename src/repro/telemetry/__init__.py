@@ -63,8 +63,8 @@ from repro.telemetry.snapshot import (
     DeltaTracker,
     GaugeSnapshot,
     TelemetryDelta,
-    TelemetrySnapshot,
     capture_snapshot,
+    fold_series,
     merge_snapshot,
 )
 from repro.telemetry.spans import (
@@ -98,12 +98,12 @@ __all__ = [
     "SpanRecord",
     "Telemetry",
     "TelemetryDelta",
-    "TelemetrySnapshot",
     "Timer",
     "TraceContext",
     "bucket_index",
     "bucket_midpoint",
     "capture_snapshot",
+    "fold_series",
     "format_traceparent",
     "chrome_trace_events",
     "counters_summary",

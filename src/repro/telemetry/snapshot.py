@@ -1,17 +1,29 @@
-"""Cross-process telemetry capture and merge.
+"""Worker -> parent telemetry: one delta type, one capture, one fold.
 
 The parallel execution engine (:mod:`repro.parallel`) fans sweep stages
 out to worker processes.  Each worker runs under its own fresh registry
-(:func:`repro.telemetry.session`); when the task finishes, the worker
-reduces that registry to a picklable :class:`TelemetrySnapshot` and
-ships it back with the result.  The parent then folds every snapshot
-into its own live registry -- spans keep their parent/child structure
-*and their ids* (span ids are namespaced by a per-process random high
-word, so cross-process collisions cannot happen and no remapping is
-needed), worker threads get synthetic negative thread ids so they
-render as separate tracks, and counter/gauge totals accumulate -- so
-``gtpin trace`` produces one complete Chrome trace whether the sweep
-ran serially or across N processes.
+and event log (:func:`repro.telemetry.session`), and everything it
+reports to the parent travels as a :class:`TelemetryDelta`:
+
+* while the task runs, optional *heartbeats* (:class:`DeltaTracker`)
+  carry the cumulative state of the series that changed since the
+  previous heartbeat plus a WARN/ERROR event tail -- the live
+  endpoint's in-flight view (:mod:`repro.obs.live`);
+* when the task ends, the *final* delta (:func:`capture_snapshot`)
+  carries every series' cumulative state with gauge samples, every
+  completed span, every event record, and the pid and clock anchors
+  span alignment needs.  It is the task's whole end-of-task payload.
+
+The parent folds the final delta into its live registry with
+:func:`merge_snapshot` -- spans keep their parent/child structure *and
+their ids* (span ids are namespaced by a per-process random high word,
+so cross-process collisions cannot happen and no remapping is needed),
+worker threads get synthetic negative thread ids so they render as
+separate tracks -- so ``gtpin trace`` produces one complete Chrome
+trace whether the sweep ran serially or across N processes.  Counter,
+gauge and histogram state goes through :func:`fold_series`, the one
+fold, which also computes :class:`DeltaAccumulator` totals and the live
+hub's merged view.
 
 Timestamps are aligned via each registry's wall-clock creation time:
 ``perf_counter_ns`` origins are process-local, so a worker span's offset
@@ -21,19 +33,25 @@ registries before being re-based on the parent's origin.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import os
-import time
+from typing import Any, Iterable
 
-from repro.telemetry.counters import Sample
-from repro.telemetry.histograms import HistogramSnapshot
+from repro.telemetry.counters import CounterSet, Sample
+from repro.telemetry.histograms import Histogram, HistogramSnapshot
 from repro.telemetry.registry import Telemetry
 from repro.telemetry.spans import SpanRecord
+
+#: Recent-event tail length: the shipped worker events the live hub
+#: keeps, one heartbeat's WARN/ERROR tail, and the tail served by the
+#: live endpoint's ``/events`` and ``/health``.
+EVENT_TAIL = 50
 
 
 @dataclasses.dataclass(frozen=True)
 class CounterSnapshot:
-    """Final value of one worker-side counter.
+    """Cumulative value of one worker-side counter.
 
     ``ops`` is the number of ``inc`` calls behind the value; the
     self-overhead attribution layer costs observability by operation
@@ -47,7 +65,8 @@ class CounterSnapshot:
 
 @dataclasses.dataclass(frozen=True)
 class GaugeSnapshot:
-    """Summary statistics of one worker-side gauge."""
+    """Summary statistics of one worker-side gauge (``samples`` only in
+    the final delta)."""
 
     name: str
     last: float
@@ -55,61 +74,132 @@ class GaugeSnapshot:
     total: float
     minimum: float
     maximum: float
-    samples: tuple[Sample, ...]
+    samples: tuple[Sample, ...] = ()
+
+
+# Shipping cumulative state (rather than arithmetic increments) is what
+# makes the receiver-side merge *conservation-exact* under float sums
+# and *idempotent* under retransmission: the receiver keeps, per
+# (source, series), the state with the highest sequence number, so
+# applying a delta twice -- or applying an older delta after a newer
+# one -- changes nothing, and the final aggregate equals the worker's
+# true final registry values bit-for-bit.
 
 
 @dataclasses.dataclass(frozen=True)
-class TelemetrySnapshot:
-    """A registry reduced to picklable parts, ready to merge elsewhere."""
+class TelemetryDelta:
+    """Cumulative state of a worker's series, stamped per source.
 
-    pid: int
-    time_origin_ns: int
-    created_unix_seconds: float
-    spans: tuple[SpanRecord, ...]
-    counters: tuple[CounterSnapshot, ...]
-    gauges: tuple[GaugeSnapshot, ...]
+    A heartbeat carries only the series that changed and a WARN/ERROR
+    event tail.  The ``final`` delta carries everything: every series,
+    gauge samples, ``spans``, every event record, and the ``pid`` /
+    clock anchors :func:`merge_snapshot` re-bases span times with.
+    """
+
+    source: str = ""
+    seq: int = 0
+    counters: tuple[CounterSnapshot, ...] = ()
+    gauges: tuple[GaugeSnapshot, ...] = ()
     histograms: tuple[HistogramSnapshot, ...] = ()
+    #: :class:`~repro.obs.events.EventRecord` instances.
+    events: tuple = ()
+    task: str = ""
+    final: bool = False
+    spans: tuple[SpanRecord, ...] = ()
+    pid: int = 0
+    time_origin_ns: int = 0
+    created_unix_seconds: float = 0.0
 
     def __len__(self) -> int:
         return len(self.spans)
 
 
-def capture_snapshot(telemetry: Telemetry) -> TelemetrySnapshot:
-    """Reduce a live registry to a :class:`TelemetrySnapshot`."""
+def _counter_state(counter: Any) -> CounterSnapshot:
+    return CounterSnapshot(
+        name=counter.name, value=counter.value, ops=counter.ops
+    )
+
+
+def _gauge_state(gauge: Any, samples: bool) -> GaugeSnapshot:
+    return GaugeSnapshot(
+        name=gauge.name,
+        last=gauge.last,
+        count=gauge.count,
+        total=gauge.total,
+        minimum=gauge.minimum,
+        maximum=gauge.maximum,
+        samples=tuple(gauge.samples) if samples else (),
+    )
+
+
+def capture_snapshot(telemetry: Telemetry, log: Any = None) -> TelemetryDelta:
+    """The one full capture: a live registry (and event ``log``) reduced
+    to a final :class:`TelemetryDelta`."""
     counters = telemetry.counters
-    return TelemetrySnapshot(
-        pid=os.getpid(),
-        time_origin_ns=telemetry.time_origin_ns,
-        created_unix_seconds=telemetry.created_unix_seconds,
-        spans=tuple(telemetry.spans()),
+    return TelemetryDelta(
         counters=tuple(
-            CounterSnapshot(name=c.name, value=c.value, ops=c.ops)
-            for c in counters.counters.values()
+            _counter_state(c) for c in counters.counters.values()
         ),
         gauges=tuple(
-            GaugeSnapshot(
-                name=g.name,
-                last=g.last,
-                count=g.count,
-                total=g.total,
-                minimum=g.minimum,
-                maximum=g.maximum,
-                samples=tuple(g.samples),
-            )
-            for g in counters.gauges.values()
+            _gauge_state(g, samples=True) for g in counters.gauges.values()
         ),
         histograms=tuple(
             h.snapshot() for h in counters.histograms.values()
         ),
+        events=tuple(log.records()) if log is not None else (),
+        final=True,
+        spans=tuple(telemetry.spans()),
+        pid=os.getpid(),
+        time_origin_ns=telemetry.time_origin_ns,
+        created_unix_seconds=telemetry.created_unix_seconds,
     )
+
+
+def fold_series(
+    target: CounterSet,
+    counters: Iterable[Any] = (),
+    gauges: Iterable[Any] = (),
+    histograms: Iterable[Histogram | HistogramSnapshot] = (),
+    shift_ns: int = 0,
+) -> None:
+    """The one fold: add cumulative series states into ``target``.
+
+    Accepts snapshots and live series alike.  Counters add value and
+    operation count; gauges add count and total, widen min/max, take
+    ``last`` and append samples shifted by ``shift_ns``; histograms
+    merge bucket-wise.
+    """
+    for counter in counters:
+        merged_counter = target.counter(counter.name)
+        merged_counter.inc(counter.value)
+        # inc() tallied one op for the fold itself; replace that with
+        # the source's true operation count.
+        merged_counter.ops += counter.ops - 1
+    for gauge in gauges:
+        merged = target.gauge(gauge.name)
+        if gauge.count == 0:
+            continue
+        merged.last = gauge.last
+        merged.count += gauge.count
+        merged.total += gauge.total
+        merged.minimum = min(merged.minimum, gauge.minimum)
+        merged.maximum = max(merged.maximum, gauge.maximum)
+        # Unshifted samples (in-process folds) are shared, not rebuilt.
+        merged.samples.extend(
+            (Sample(s.ts_ns + shift_ns, s.value) for s in gauge.samples)
+            if shift_ns
+            else gauge.samples
+        )
+    for hist in histograms:
+        target.histogram(hist.name, hist.unit).merge(hist)
 
 
 def merge_snapshot(
     target: Telemetry,
-    snapshot: TelemetrySnapshot,
+    payload: TelemetryDelta,
     parent_span_id: int | None = None,
 ) -> None:
-    """Fold a worker snapshot into ``target``.
+    """Fold a worker's final delta into ``target``.
 
     Span ids are globally unique (each collector namespaces them with a
     per-process random high word), so worker spans keep their ids *and*
@@ -118,16 +208,17 @@ def merge_snapshot(
     .TraceContext`.  Only parentless roots are re-parented under
     ``parent_span_id`` (typically the fan-out span that dispatched the
     task), so the merged trace stays one tree even for workers that ran
-    without a trace context.
+    without a trace context.  Event records are not touched here; the
+    pool absorbs them into the parent's event log.
     """
     if not getattr(target, "enabled", False):
         return
     delta_ns = int(
         round(
-            (snapshot.created_unix_seconds - target.created_unix_seconds)
+            (payload.created_unix_seconds - target.created_unix_seconds)
             * 1e9
         )
-    ) + (target.time_origin_ns - snapshot.time_origin_ns)
+    ) + (target.time_origin_ns - payload.time_origin_ns)
 
     # Synthetic negative thread ids: real thread idents are positive, so
     # worker tracks can never collide with (or interleave into) parent
@@ -137,12 +228,12 @@ def merge_snapshot(
     def remap_thread(thread_id: int) -> int:
         if thread_id not in thread_map:
             thread_map[thread_id] = -(
-                snapshot.pid * 1000 + len(thread_map) + 1
+                payload.pid * 1000 + len(thread_map) + 1
             )
         return thread_map[thread_id]
 
     collector = target._collector
-    for span in snapshot.spans:
+    for span in payload.spans:
         collector.record(
             SpanRecord(
                 span_id=span.span_id,
@@ -161,71 +252,16 @@ def merge_snapshot(
                 trace_id=span.trace_id,
             )
         )
-
-    for counter in snapshot.counters:
-        merged_counter = target.counters.counter(counter.name)
-        merged_counter.inc(counter.value)
-        # inc() tallied one op for the merge itself; replace that with
-        # the worker's true operation count.
-        merged_counter.ops += counter.ops - 1
-    for gauge in snapshot.gauges:
-        merged = target.counters.gauge(gauge.name)
-        if gauge.count == 0:
-            continue
-        merged.last = gauge.last
-        merged.count += gauge.count
-        merged.total += gauge.total
-        merged.minimum = min(merged.minimum, gauge.minimum)
-        merged.maximum = max(merged.maximum, gauge.maximum)
-        merged.samples.extend(
-            Sample(s.ts_ns + delta_ns, s.value) for s in gauge.samples
-        )
-    for hist in snapshot.histograms:
-        target.counters.histogram(hist.name, hist.unit).merge(hist)
-
-
-# -- streaming deltas ---------------------------------------------------------
-#
-# The live-observability layer needs *in-flight* telemetry: workers ship
-# periodic heartbeats while a task runs, not just one snapshot at task
-# end.  A heartbeat is a :class:`TelemetryDelta` -- the cumulative state
-# of every series that changed since the previous capture, stamped with
-# a per-source sequence number.  Shipping cumulative state (rather than
-# arithmetic increments) is what makes the merge *conservation-exact*
-# under float sums and *idempotent* under retransmission: the receiver
-# keeps, per (source, series), the state with the highest sequence
-# number, so applying a delta twice -- or applying an older delta after
-# a newer one -- changes nothing, and the final aggregate equals the
-# worker's true final registry values bit-for-bit.
-
-
-@dataclasses.dataclass(frozen=True)
-class TelemetryDelta:
-    """One heartbeat: cumulative state of the series that changed.
-
-    ``events`` is a display-oriented tail of recently emitted event
-    records (exactly-once delivery of events still happens through the
-    end-of-task :class:`~repro.obs.events.EventRecord` shipment); the
-    counter/gauge/histogram payloads are the conservation-carrying part.
-    """
-
-    source: str
-    seq: int
-    captured_unix: float
-    counters: tuple[CounterSnapshot, ...] = ()
-    gauges: tuple[GaugeSnapshot, ...] = ()
-    histograms: tuple[HistogramSnapshot, ...] = ()
-    events: tuple = ()
-    task: str = ""
-    final: bool = False
-
-    def __len__(self) -> int:
-        return len(self.counters) + len(self.gauges) + len(self.histograms)
+    fold_series(
+        target.counters, payload.counters, payload.gauges,
+        payload.histograms, shift_ns=delta_ns,
+    )
 
 
 class DeltaTracker:
-    """Worker-side capture state: successive :meth:`capture` calls ship
-    only the series that changed since the previous call."""
+    """Worker-side capture state: successive heartbeat captures ship
+    only the series that changed since the previous call; the final
+    capture ships everything."""
 
     def __init__(self, source: str, task: str = "") -> None:
         self.source = source
@@ -237,39 +273,36 @@ class DeltaTracker:
         self._event_watermark = 0.0
 
     def capture(
-        self,
-        telemetry: Telemetry,
-        log=None,
-        final: bool = False,
-        event_tail: int = 50,
-        min_event_level: str = "WARN",
+        self, telemetry: Telemetry, log=None, final: bool = False
     ) -> TelemetryDelta | None:
         """One heartbeat from a live registry; ``None`` when nothing
-        changed (and the heartbeat is not the final one)."""
+        changed.  ``final=True`` returns :func:`capture_snapshot`'s full
+        delta stamped with this source."""
+        if final:
+            delta = capture_snapshot(telemetry, log)
+        else:
+            delta = self._changed(telemetry, log)
+            if delta is None:
+                return None
+        delta = dataclasses.replace(
+            delta, source=self.source, seq=self.seq, task=self.task
+        )
+        self.seq += 1
+        return delta
+
+    def _changed(self, telemetry: Telemetry, log) -> TelemetryDelta | None:
         counters = telemetry.counters
         changed_counters = []
         for name, counter in list(counters.counters.items()):
             mark = (counter.value, counter.ops)
             if self._counter_marks.get(name) != mark:
                 self._counter_marks[name] = mark
-                changed_counters.append(
-                    CounterSnapshot(name=name, value=mark[0], ops=mark[1])
-                )
+                changed_counters.append(_counter_state(counter))
         changed_gauges = []
         for name, gauge in list(counters.gauges.items()):
             if self._gauge_marks.get(name) != gauge.count:
                 self._gauge_marks[name] = gauge.count
-                changed_gauges.append(
-                    GaugeSnapshot(
-                        name=name,
-                        last=gauge.last,
-                        count=gauge.count,
-                        total=gauge.total,
-                        minimum=gauge.minimum,
-                        maximum=gauge.maximum,
-                        samples=(),
-                    )
-                )
+                changed_gauges.append(_gauge_state(gauge, samples=False))
         changed_hists = []
         for name, hist in list(counters.histograms.items()):
             if self._hist_marks.get(name) != hist.count:
@@ -279,33 +312,26 @@ class DeltaTracker:
         if log is not None and getattr(log, "enabled", False):
             recent = [
                 r
-                for r in log.records(min_level=min_event_level)
+                for r in log.records(min_level="WARN")
                 if r.ts_unix > self._event_watermark
-            ][-event_tail:]
+            ][-EVENT_TAIL:]
             if recent:
                 self._event_watermark = max(r.ts_unix for r in recent)
                 fresh_events = tuple(recent)
-        if (
-            not changed_counters
-            and not changed_gauges
-            and not changed_hists
-            and not fresh_events
-            and not final
+        if not (
+            changed_counters or changed_gauges or changed_hists
+            or fresh_events
         ):
             return None
-        delta = TelemetryDelta(
-            source=self.source,
-            seq=self.seq,
-            captured_unix=time.time(),
+        return TelemetryDelta(
             counters=tuple(changed_counters),
             gauges=tuple(changed_gauges),
             histograms=tuple(changed_hists),
             events=fresh_events,
-            task=self.task,
-            final=final,
         )
-        self.seq += 1
-        return delta
+
+
+_KINDS = ("counters", "gauges", "histograms")
 
 
 class DeltaAccumulator:
@@ -316,45 +342,39 @@ class DeltaAccumulator:
     duplicated or reordered heartbeats cannot inflate or corrupt the
     aggregate.  Totals across sources are exact sums of each source's
     latest state -- after every source's final delta has arrived they
-    equal the end-of-run merged telemetry exactly.
+    equal the end-of-run merged telemetry exactly.  Shipped event
+    records are kept for display only, bounded to the newest
+    :data:`EVENT_TAIL`.
     """
 
     def __init__(self) -> None:
-        self._counters: dict[tuple[str, str], tuple[int, CounterSnapshot]] = {}
-        self._gauges: dict[tuple[str, str], tuple[int, GaugeSnapshot]] = {}
-        self._hists: dict[tuple[str, str], tuple[int, HistogramSnapshot]] = {}
+        #: (source, kind, series name) -> (seq, cumulative state).
+        self._latest: dict[tuple[str, str, str], tuple[int, Any]] = {}
         self._event_seqs: dict[str, set[int]] = {}
-        self.events: list = []
+        self._events: collections.deque[tuple[str, Any]] = (
+            collections.deque(maxlen=EVENT_TAIL)
+        )
         self.applied = 0
         self.duplicates = 0
 
     def apply(self, delta: TelemetryDelta) -> bool:
-        """Fold one heartbeat in; ``False`` when every series in it was
+        """Fold one delta in; ``False`` when every series in it was
         already known at an equal-or-newer sequence number."""
         fresh = False
-        for counter in delta.counters:
-            key = (delta.source, counter.name)
-            held = self._counters.get(key)
-            if held is None or held[0] < delta.seq:
-                self._counters[key] = (delta.seq, counter)
-                fresh = True
-        for gauge in delta.gauges:
-            key = (delta.source, gauge.name)
-            held = self._gauges.get(key)
-            if held is None or held[0] < delta.seq:
-                self._gauges[key] = (delta.seq, gauge)
-                fresh = True
-        for hist in delta.histograms:
-            key = (delta.source, hist.name)
-            held = self._hists.get(key)
-            if held is None or held[0] < delta.seq:
-                self._hists[key] = (delta.seq, hist)
-                fresh = True
+        for kind in _KINDS:
+            for state in getattr(delta, kind):
+                key = (delta.source, kind, state.name)
+                held = self._latest.get(key)
+                if held is None or held[0] < delta.seq:
+                    self._latest[key] = (delta.seq, state)
+                    fresh = True
         if delta.events:
             seen = self._event_seqs.setdefault(delta.source, set())
             if delta.seq not in seen:
                 seen.add(delta.seq)
-                self.events.extend(delta.events)
+                self._events.extend(
+                    (delta.source, record) for record in delta.events
+                )
                 fresh = True
         if fresh:
             self.applied += 1
@@ -363,66 +383,44 @@ class DeltaAccumulator:
         return fresh
 
     def drop_source(self, source: str) -> None:
-        """Forget one source's contribution (after its final snapshot
-        has been merged into a real registry, keeping it would double
-        count)."""
-        for table in (self._counters, self._gauges, self._hists):
-            for key in [k for k in table if k[0] == source]:
-                del table[key]
+        """Forget one source's contribution, events included (after its
+        final delta has been merged into a real registry, keeping it
+        would double count)."""
+        for key in [k for k in self._latest if k[0] == source]:
+            del self._latest[key]
         self._event_seqs.pop(source, None)
+        kept = [item for item in self._events if item[0] != source]
+        self._events.clear()
+        self._events.extend(kept)
 
     def sources(self) -> set[str]:
-        out = {key[0] for key in self._counters}
-        out |= {key[0] for key in self._gauges}
-        out |= {key[0] for key in self._hists}
-        return out
+        return {key[0] for key in self._latest}
+
+    def events(self) -> list:
+        """Shipped event records still held, oldest first."""
+        return [record for _, record in self._events]
+
+    def fold_into(self, target: CounterSet) -> CounterSet:
+        """Fold every source's latest state into ``target`` in sequence
+        order, so a gauge's ``last`` comes from its highest-sequence
+        capture."""
+        states: dict[str, list[Any]] = {kind: [] for kind in _KINDS}
+        for (_, kind, _), (_, state) in sorted(
+            self._latest.items(), key=lambda item: (item[1][0], item[0])
+        ):
+            states[kind].append(state)
+        fold_series(target, **states)
+        return target
 
     def counter_totals(self) -> dict[str, float]:
         """Per-counter sums of every source's latest cumulative value."""
-        totals: dict[str, float] = {}
-        for (_, name), (_, counter) in sorted(self._counters.items()):
-            totals[name] = totals.get(name, 0.0) + counter.value
-        return totals
+        folded = self.fold_into(CounterSet())
+        return {name: c.value for name, c in folded.counters.items()}
 
-    def counter_ops(self) -> dict[str, int]:
-        totals: dict[str, int] = {}
-        for (_, name), (_, counter) in sorted(self._counters.items()):
-            totals[name] = totals.get(name, 0) + counter.ops
-        return totals
-
-    def gauge_totals(self) -> dict[str, GaugeSnapshot]:
-        """Per-gauge aggregate across sources (count/total sums,
-        min/max envelopes, ``last`` from the newest capture)."""
-        merged: dict[str, GaugeSnapshot] = {}
-        newest: dict[str, int] = {}
-        for (_, name), (seq, gauge) in sorted(self._gauges.items()):
-            held = merged.get(name)
-            if held is None:
-                merged[name] = gauge
-                newest[name] = seq
-                continue
-            last = gauge.last if seq >= newest[name] else held.last
-            newest[name] = max(newest[name], seq)
-            merged[name] = GaugeSnapshot(
-                name=name,
-                last=last,
-                count=held.count + gauge.count,
-                total=held.total + gauge.total,
-                minimum=min(held.minimum, gauge.minimum),
-                maximum=max(held.maximum, gauge.maximum),
-                samples=(),
-            )
-        return merged
+    def gauge_totals(self) -> dict[str, Any]:
+        """Per-gauge aggregate across sources."""
+        return self.fold_into(CounterSet()).gauges
 
     def histogram_totals(self) -> dict[str, Histogram]:
         """Per-histogram merge of every source's latest snapshot."""
-        from repro.telemetry.histograms import Histogram
-
-        merged: dict[str, Histogram] = {}
-        for (_, name), (_, snapshot) in sorted(self._hists.items()):
-            hist = merged.get(name)
-            if hist is None:
-                hist = Histogram(name, snapshot.unit)
-                merged[name] = hist
-            hist.merge(snapshot)
-        return merged
+        return self.fold_into(CounterSet()).histograms

@@ -12,6 +12,7 @@ import io
 import json
 import os
 import queue
+import time
 import urllib.error
 import urllib.request
 
@@ -222,7 +223,7 @@ def test_run_task_ships_final_delta_over_the_side_channel():
     finally:
         os.environ.pop(WORKER_ENV, None)
     assert result.value == 25
-    assert result.source == "src0"
+    assert result.final.source == "src0"
     deltas = []
     while not channel.empty():
         deltas.append(channel.get_nowait())
@@ -233,10 +234,11 @@ def test_run_task_ships_final_delta_over_the_side_channel():
     assert acc.counter_totals()["live.work"] == 25.0
     hist = acc.histogram_totals()["live.sizes"]
     assert (hist.count, hist.minimum, hist.maximum) == (25, 1.0, 25.0)
-    # The end-of-task snapshot carries the same finals (the delta path
-    # is a preview, never a replacement).
-    snap = {c.name: c.value for c in result.snapshot.counters}
+    # The final delta in the task result carries the same finals as the
+    # streamed ones.
+    snap = {c.name: c.value for c in result.final.counters}
     assert snap["live.work"] == 25.0
+    assert snap == acc.counter_totals()
 
 
 # -- hub behavior ------------------------------------------------------------
@@ -535,3 +537,49 @@ def test_endpoint_totals_match_merged_telemetry_under_parallel_faults():
         )
         assert warn_count
         assert health["events"]["counts"]["WARN"] >= warn_count
+
+
+def _count_then_maybe_die(die):
+    telemetry.get().inc("live.dead_worker", 10)
+    time.sleep(0.3)  # several heartbeats ship before the exit
+    if die:
+        os._exit(1)
+    return die
+
+
+def test_batch_retires_lanes_of_a_worker_that_died(monkeypatch):
+    """A killed worker ships heartbeats but never a final delta; the
+    batch must still retire its source, or the hub keeps the lane and
+    double counts against the merged registry forever."""
+    monkeypatch.setenv(live.INTERVAL_ENV, "0.05")
+    name = metric_name("live.dead_worker") + "_total"
+    with telemetry.session() as tm:
+        hub = live.enable()
+        try:
+            outcomes = parallel_map(
+                _count_then_maybe_die, [(False,), (True,)], jobs=2
+            )
+            assert not outcomes[1].ok
+            assert hub.health_doc()["workers"] == []
+            parsed = parse_exposition(hub.metrics_text())
+        finally:
+            live.disable()
+        assert parsed.get(name, 0.0) == tm.counter_value("live.dead_worker")
+
+
+def test_hub_shipped_events_are_bounded_and_retire_with_their_source():
+    hub = live.LiveHub()
+    worker_tm = Telemetry()
+    for source, floods in (("w0", live.EVENT_TAIL), ("w1", 5)):
+        tracker = DeltaTracker(source)
+        worker_log = obs_events.EventLog()
+        for i in range(floods):
+            worker_log.warn("flood", source=source, i=i)
+            hub.apply_delta(tracker.capture(worker_tm, log=worker_log))
+    shipped = hub.accumulator.events()
+    assert len(shipped) == live.EVENT_TAIL  # the oldest w0 records went
+    assert [dict(r.fields)["source"] for r in shipped].count("w1") == 5
+    hub.retire_source("w1")
+    remaining = hub.accumulator.events()
+    assert len(remaining) == live.EVENT_TAIL - 5
+    assert {dict(r.fields)["source"] for r in remaining} == {"w0"}

@@ -398,6 +398,27 @@ def test_cli_trace_show_error_exits(cli_ledger, capsys):
     assert main(["trace", "not-an-app"]) == 2
 
 
+def test_cli_trace_honours_ledger_and_report_flags(
+    cli_ledger, tmp_path, capsys
+):
+    """``gtpin trace`` runs inside the shared capture scope: its spans
+    land in the --ledger run record and --report writes the page."""
+    path, ledger = cli_ledger
+    report = tmp_path / "trace_report.html"
+    assert main([
+        "trace", "cb-gaussian-buffer", "--scale", "0.1",
+        "--workflow", "select", "--out", str(tmp_path / "t.json"),
+        "--ledger", str(path), "--report", str(report),
+    ]) == 0
+    (record,) = ledger.runs()
+    assert record.command == "trace"
+    assert record.trace_id
+    names = {s.name for s in ledger.trace(record.trace_id)}
+    assert "cli.trace" in names
+    assert report.read_text().startswith("<!DOCTYPE html>")
+    assert telemetry.get() is telemetry.DISABLED
+
+
 # -- end to end: one serve job, one trace, four domains ----------------------
 
 
