@@ -620,9 +620,9 @@ def _cmd_export(args: argparse.Namespace) -> int:
     )
     scheme, feature = _SCHEMES[args.scheme], _FEATURES[args.feature]
     intervals = divide(workload.log, scheme)
-    vectors = build_feature_vectors(workload.log, intervals, feature)
+    matrix = build_feature_vectors(workload.log, intervals, feature)
     result = run_simpoint(
-        vectors, [iv.instruction_count for iv in intervals]
+        matrix, [iv.instruction_count for iv in intervals]
     )
     from repro.sampling.selection import SelectionConfig
 
@@ -636,7 +636,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     stem = f"{args.app}.{selection.config.label}"
     (out / f"{stem}.selection.json").write_text(selection_to_json(selection))
     with open(out / f"{stem}.bb", "w") as bb_file:
-        write_frequency_vectors(vectors, bb_file)
+        write_frequency_vectors(matrix, bb_file)
     with open(out / f"{stem}.simpoints", "w") as sp, open(
         out / f"{stem}.weights", "w"
     ) as wt:

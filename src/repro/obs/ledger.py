@@ -335,8 +335,10 @@ def render_runs_table(records: list[RunRecord]) -> str:
     """``gtpin runs list``: one aligned line per run, newest first."""
     if not records:
         return "ledger is empty (run with --ledger to record runs)"
+    # Suite names run past any fixed width: size the column to fit.
+    app_width = max(len("app"), *(len(r.app or "-") for r in records))
     lines = [
-        f"{'id':>4}  {'when':19}  {'command':9}  {'app':12}  "
+        f"{'id':>4}  {'when':19}  {'command':9}  {'app':{app_width}}  "
         f"{'status':7}  {'seconds':>8}  trace"
     ]
     for record in records:
@@ -346,7 +348,7 @@ def render_runs_table(records: list[RunRecord]) -> str:
         trace = record.trace_id[:16] + ".." if record.trace_id else "-"
         lines.append(
             f"{record.id:>4}  {when:19}  {record.command:9}  "
-            f"{(record.app or '-'):12}  {record.status:7}  "
+            f"{(record.app or '-'):{app_width}}  {record.status:7}  "
             f"{record.duration_seconds:8.3f}  {trace}"
         )
     return "\n".join(lines)

@@ -172,14 +172,14 @@ def evaluate_config(
                 np.array([iv.instruction_count for iv in intervals])
             )
         with tm.span("select.featurize", category="sampling"):
-            vectors = build_feature_vectors(
+            matrix = build_feature_vectors(
                 log, intervals, config.feature, weighted=weighted_features
             )
         weights = [iv.instruction_count for iv in intervals]
         with tm.span(
             "select.cluster", category="sampling", intervals=len(intervals)
         ):
-            result = run_simpoint(vectors, weights, options)
+            result = run_simpoint(matrix, weights, options)
         with tm.span("select.score", category="sampling"):
             selection = selection_from_simpoint(
                 config, intervals, result, log.total_instructions

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import itertools
 from typing import Sequence
 
 from repro.gtpin.tools.invocations import InvocationLog
@@ -86,22 +87,24 @@ def _intervals_from_boundaries(
     """Build intervals from sorted invocation-index boundaries.
 
     ``boundaries`` are the *stop* indices of each interval; the last must
-    equal ``len(log)``.
+    equal ``len(log)``.  Every interval's instruction count is one
+    difference of a single prefix sum over the log.
     """
+    prefix = [
+        0,
+        *itertools.accumulate(p.instruction_count for p in log.invocations),
+    ]
     intervals: list[Interval] = []
     start = 0
     for stop in boundaries:
         if stop <= start:
             continue
-        instr = sum(
-            log.invocations[i].instruction_count for i in range(start, stop)
-        )
         intervals.append(
             Interval(
                 index=len(intervals),
                 start=start,
                 stop=stop,
-                instruction_count=instr,
+                instruction_count=prefix[stop] - prefix[start],
             )
         )
         start = stop

@@ -26,13 +26,13 @@ may return fewer than this maximum" -- both behaviours are preserved
 from __future__ import annotations
 
 import dataclasses
-from typing import Hashable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro import telemetry
 from repro.obs import events as _events
-from repro.sampling.features import FeatureVector
+from repro.sampling.features import FeatureMatrix, FeatureVector
 
 #: Projected points equal to this many decimals count as one point when
 #: clamping the k range: k-means cannot give more clusters than there
@@ -102,38 +102,26 @@ def project_features(
     Every distinct key across all intervals gets a random direction in
     ``[-1, 1]^dim`` (SimPoint's projection); an interval's projected
     vector is the frequency-weighted sum of its keys' directions.
+    ``vectors`` is a :class:`FeatureMatrix` or a list of dicts.
     """
-    keys: dict[Hashable, int] = {}
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for i, vector in enumerate(vectors):
-        for key, value in vector.items():
-            idx = keys.get(key)
-            if idx is None:
-                idx = len(keys)
-                keys[key] = idx
-            rows.append(i)
-            cols.append(idx)
-            vals.append(value)
+    matrix = FeatureMatrix.from_vectors(vectors)
     rng = np.random.default_rng(seed)
-    directions = rng.uniform(-1.0, 1.0, size=(max(1, len(keys)), dim))
-    projected = np.zeros((len(vectors), dim), dtype=np.float64)
-    if not rows:
+    directions = rng.uniform(-1.0, 1.0, size=(max(1, matrix.n_keys), dim))
+    projected = np.zeros((matrix.n_rows, dim), dtype=np.float64)
+    if matrix.rows.size == 0:
         return projected
-    # One unbuffered scatter-add over all (interval, key) occurrences.
-    # Occurrences are emitted in the same order the scalar loop visited
-    # them, and ``np.add.at`` (like ``bincount``) accumulates in element
-    # order, so the result is bit-identical to per-key accumulation.
-    row_arr = np.asarray(rows, dtype=np.int64)
-    col_arr = np.asarray(cols, dtype=np.int64)
-    val_arr = np.asarray(vals, dtype=np.float64)
-    totals = np.bincount(row_arr, weights=val_arr, minlength=len(vectors))
-    keep = totals[row_arr] > 0
+    # One unbuffered scatter-add over all (interval, key) entries.  The
+    # matrix lists them in the order the scalar loop visited them, and
+    # ``np.add.at`` (like ``bincount``) accumulates in element order, so
+    # the result is bit-identical to per-key accumulation.  A segmented
+    # ``np.add.reduceat`` sums in another order and moves selections.
+    rows, cols, vals = matrix.rows, matrix.cols, matrix.vals
+    totals = np.bincount(rows, weights=vals, minlength=matrix.n_rows)
+    keep = totals[rows] > 0
     if not keep.all():
-        row_arr, col_arr, val_arr = row_arr[keep], col_arr[keep], val_arr[keep]
-    coeffs = val_arr / totals[row_arr]
-    np.add.at(projected, row_arr, coeffs[:, None] * directions[col_arr])
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    coeffs = vals / totals[rows]
+    np.add.at(projected, rows, coeffs[:, None] * directions[cols])
     return projected
 
 

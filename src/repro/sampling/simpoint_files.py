@@ -21,7 +21,7 @@ import dataclasses
 import io
 from typing import Hashable, Sequence, TextIO
 
-from repro.sampling.features import FeatureVector
+from repro.sampling.features import FeatureMatrix, FeatureVector
 from repro.sampling.intervals import Interval
 from repro.sampling.selection import (
     SelectedInterval,
@@ -39,12 +39,10 @@ class DimensionMap:
 
     @staticmethod
     def build(vectors: Sequence[FeatureVector]) -> "DimensionMap":
-        mapping: dict[Hashable, int] = {}
-        for vector in vectors:
-            for key in vector:
-                if key not in mapping:
-                    mapping[key] = len(mapping) + 1  # SimPoint dims are 1-based
-        return DimensionMap(mapping)
+        """Dimensions in first-occurrence order: the matrix's columns."""
+        keys = FeatureMatrix.from_vectors(vectors).keys
+        # SimPoint dims are 1-based.
+        return DimensionMap({key: dim for dim, key in enumerate(keys, 1)})
 
     @property
     def n_dimensions(self) -> int:
@@ -56,13 +54,19 @@ def write_frequency_vectors(
     out: TextIO,
     dimension_map: DimensionMap | None = None,
 ) -> DimensionMap:
-    """Emit intervals in SimPoint's ``T:dim:count`` BBV format."""
-    dimension_map = dimension_map or DimensionMap.build(vectors)
-    for vector in vectors:
+    """Emit intervals in SimPoint's ``T:dim:count`` BBV format.
+
+    ``vectors`` is a :class:`FeatureMatrix` or a list of dicts.
+    """
+    matrix = FeatureMatrix.from_vectors(vectors)
+    dimension_map = dimension_map or DimensionMap.build(matrix)
+    column_dims = [dimension_map.key_to_dim[key] for key in matrix.keys]
+    dims = [column_dims[c] for c in matrix.cols.tolist()]
+    values = matrix.vals.tolist()
+    for lo, hi in zip(matrix.bounds, matrix.bounds[1:]):
         parts = ["T"]
-        for key in sorted(vector, key=lambda k: dimension_map.key_to_dim[k]):
-            dim = dimension_map.key_to_dim[key]
-            value = vector[key]
+        # An interval's dims are distinct: the sort never compares values.
+        for dim, value in sorted(zip(dims[lo:hi], values[lo:hi])):
             rendered = (
                 str(int(value)) if float(value).is_integer() else f"{value!r}"
             )

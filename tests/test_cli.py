@@ -86,6 +86,39 @@ def test_exported_selection_loads_back(tmp_path):
     assert selection.k >= 1
 
 
+def test_export_files_match_the_scalar_feature_dicts(tmp_path):
+    """``.bb``/``.simpoints``/``.weights`` are byte-identical to writing
+    the scalar oracle's per-interval dicts."""
+    import io
+
+    from repro.sampling import (
+        IntervalScheme,
+        divide,
+        feature_vector,
+        profile_workload,
+        run_simpoint,
+        write_frequency_vectors,
+        write_simpoints,
+    )
+    from repro.sampling.features import FeatureKind
+    from repro.workloads import load_app
+
+    main(["export", "cb-gaussian-image", "--scale", "0.5",
+          "--out", str(tmp_path)])
+    log = profile_workload(load_app("cb-gaussian-image", scale=0.5)).log
+    intervals = divide(log, IntervalScheme.SYNC)
+    vectors = [feature_vector(log, iv, FeatureKind.BB) for iv in intervals]
+    result = run_simpoint(
+        vectors, [iv.instruction_count for iv in intervals]
+    )
+    bb, sp, wt = io.StringIO(), io.StringIO(), io.StringIO()
+    write_frequency_vectors(vectors, bb)
+    write_simpoints(result, sp, wt)
+    for suffix, want in ((".bb", bb), (".simpoints", sp), (".weights", wt)):
+        path = tmp_path / f"cb-gaussian-image.Sync-BB{suffix}"
+        assert path.read_text() == want.getvalue()
+
+
 def test_version_flag(capsys):
     from repro import __version__
 

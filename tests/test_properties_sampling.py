@@ -18,10 +18,11 @@ from repro.sampling.features import (
     ALL_FEATURE_KINDS,
     FeatureKind,
     build_feature_vectors,
+    feature_vector,
 )
 from repro.sampling.intervals import IntervalScheme, divide
 from repro.sampling.selection import SelectionConfig
-from repro.sampling.simpoint import SimPointOptions
+from repro.sampling.simpoint import SimPointOptions, project_features
 
 from conftest import build_tiny_kernel
 
@@ -103,6 +104,25 @@ def test_feature_values_nonnegative(log, kind):
     for vector in build_feature_vectors(log, intervals, kind):
         assert vector
         assert all(v >= 0 for v in vector.values())
+
+
+@given(
+    invocation_logs(),
+    st.sampled_from(list(IntervalScheme)),
+    st.sampled_from(ALL_FEATURE_KINDS),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_feature_matrix_equals_scalar_dicts(log, scheme, kind, weighted):
+    intervals = divide(log, scheme, approx_size=5_000)
+    matrix = build_feature_vectors(log, intervals, kind, weighted)
+    scalar = [feature_vector(log, iv, kind, weighted) for iv in intervals]
+    assert [list(v.items()) for v in matrix] == [
+        list(v.items()) for v in scalar
+    ]
+    assert np.array_equal(
+        project_features(matrix, 8, 1), project_features(scalar, 8, 1)
+    )
 
 
 @given(invocation_logs())

@@ -1,14 +1,20 @@
 """Feature vectors: Table III's ten constructions."""
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
+from repro.gtpin.tools.invocations import InvocationLog, InvocationProfile
 from repro.sampling.features import (
     ALL_FEATURE_KINDS,
     FeatureKind,
+    FeatureMatrix,
     build_feature_vectors,
     feature_vector,
 )
 from repro.sampling.intervals import IntervalScheme, divide
+from repro.sampling.simpoint import project_features
 
 
 @pytest.fixture(scope="module")
@@ -155,25 +161,31 @@ def test_vectors_differ_across_phases(log):
     )
 
 
-class TestBatchedEquivalence:
-    """The batched BB builder is bit-identical to the scalar path --
-    values AND dict key order (key order feeds the random projection)."""
+def _assert_matches_scalar(log, intervals, kind, weighted=True):
+    """The matrix reads as the scalar dicts -- same keys in the same
+    order, exact floats -- and equals the matrix of those dicts, column
+    order included, so it also projects to the same points."""
+    matrix = build_feature_vectors(log, intervals, kind, weighted)
+    scalar = [feature_vector(log, iv, kind, weighted) for iv in intervals]
+    assert len(matrix) == len(scalar)
+    for got, want in zip(matrix, scalar):
+        assert list(got.items()) == list(want.items())  # exact, ordered
+    rebuilt = FeatureMatrix.from_vectors(scalar)
+    assert matrix.keys == rebuilt.keys
+    for name in ("rows", "cols", "vals"):
+        assert np.array_equal(getattr(matrix, name), getattr(rebuilt, name))
+    return matrix
 
-    @pytest.mark.parametrize(
-        "kind", [k for k in ALL_FEATURE_KINDS if k.is_block_based]
-    )
+
+class TestBatchedEquivalence:
+    """The feature matrix is bit-identical to the scalar oracle --
+    values AND key order (key order feeds the random projection)."""
+
+    @pytest.mark.parametrize("kind", ALL_FEATURE_KINDS)
     @pytest.mark.parametrize("weighted", [True, False])
     def test_all_block_kinds_and_schemes(self, log, kind, weighted):
         for scheme in IntervalScheme:
-            intervals = divide(log, scheme)
-            batched = build_feature_vectors(log, intervals, kind, weighted)
-            scalar = [
-                feature_vector(log, iv, kind, weighted) for iv in intervals
-            ]
-            assert len(batched) == len(scalar)
-            for got, want in zip(batched, scalar):
-                assert list(got.keys()) == list(want.keys())
-                assert got == want  # exact float equality, not approx
+            _assert_matches_scalar(log, divide(log, scheme), kind, weighted)
 
     def test_kernel_kinds_unchanged(self, log, intervals):
         for kind in ALL_FEATURE_KINDS:
@@ -181,4 +193,105 @@ class TestBatchedEquivalence:
                 continue
             built = build_feature_vectors(log, intervals, kind)
             scalar = [feature_vector(log, iv, kind) for iv in intervals]
-            assert built == scalar
+            assert list(built) == scalar
+
+
+def test_matrix_sequence_view(log, intervals):
+    matrix = build_feature_vectors(log, intervals, FeatureKind.BB_R)
+    scalar = [feature_vector(log, iv, FeatureKind.BB_R) for iv in intervals]
+    assert matrix[-1] == scalar[-1]
+    assert matrix[1:3] == scalar[1:3]
+    assert matrix.n_keys == len({key for vec in scalar for key in vec})
+    with pytest.raises(IndexError):
+        matrix[len(scalar)]
+    assert FeatureMatrix.from_vectors(matrix) is matrix
+
+
+# -- degenerate logs -----------------------------------------------------------
+
+
+def _stub_binary(instruction_counts, bytes_read, bytes_written):
+    """Only the static per-block arrays the features read."""
+    arrays = SimpleNamespace(
+        instruction_counts=np.asarray(instruction_counts, dtype=np.int64),
+        bytes_read=np.asarray(bytes_read, dtype=np.int64),
+        bytes_written=np.asarray(bytes_written, dtype=np.int64),
+    )
+    return SimpleNamespace(arrays=arrays)
+
+
+_BINARIES = {
+    "k.a": _stub_binary([3, 5, 2], [0, 64, 0], [0, 32, 16]),
+    "k.b": _stub_binary([4, 1], [8, 0], [0, 8]),
+    "k.zero": _stub_binary([0, 0, 0], [0, 0, 0], [0, 0, 0]),
+}
+
+
+def _synthetic_log(runs):
+    """One invocation per ``(kernel, block counts, sync epoch)``."""
+    profiles = []
+    for i, (kernel, counts, epoch) in enumerate(runs):
+        arrays = _BINARIES[kernel].arrays
+        counts = np.asarray(counts, dtype=np.int64)
+        profiles.append(
+            InvocationProfile(
+                index=i,
+                kernel_name=kernel,
+                global_work_size=64 * (1 + i % 2),
+                arg_items=(("n", float(i % 3)),),
+                instruction_count=int(counts @ arrays.instruction_counts),
+                bytes_read=int(counts @ arrays.bytes_read),
+                bytes_written=int(counts @ arrays.bytes_written),
+                block_counts=counts,
+                sync_epoch=epoch,
+                enqueue_call_index=i,
+            )
+        )
+    return InvocationLog(invocations=tuple(profiles), binaries=_BINARIES)
+
+
+@pytest.mark.parametrize("kind", ALL_FEATURE_KINDS)
+def test_log_where_no_block_executes(kind):
+    log = _synthetic_log(
+        [("k.a", [0, 0, 0], 0), ("k.b", [0, 0], 0), ("k.a", [0, 0, 0], 1)]
+    )
+    for scheme in IntervalScheme:
+        intervals = divide(log, scheme)
+        matrix = _assert_matches_scalar(log, intervals, kind)
+        points = project_features(matrix, 15, 7)
+        assert points.shape == (len(intervals), 15)
+        assert not points.any()
+        if kind.is_block_based:
+            assert matrix.n_keys == 0 and matrix.rows.size == 0
+            assert list(matrix) == [{}] * len(intervals)
+
+
+@pytest.mark.parametrize("kind", ALL_FEATURE_KINDS)
+@pytest.mark.parametrize("weighted", [True, False])
+def test_single_interval_log(kind, weighted):
+    log = _synthetic_log([("k.a", [1, 4, 1], 0)])
+    for scheme in IntervalScheme:
+        intervals = divide(log, scheme)
+        assert len(intervals) == 1
+        _assert_matches_scalar(log, intervals, kind, weighted)
+
+
+@pytest.mark.parametrize("kind", ALL_FEATURE_KINDS)
+@pytest.mark.parametrize("weighted", [True, False])
+def test_kernel_with_zero_instruction_blocks(kind, weighted):
+    log = _synthetic_log(
+        [
+            ("k.zero", [2, 0, 5], 0),
+            ("k.a", [1, 3, 1], 0),
+            ("k.zero", [1, 1, 1], 1),
+            ("k.b", [0, 7], 1),
+            ("k.zero", [4, 0, 0], 2),
+        ]
+    )
+    for scheme in IntervalScheme:
+        matrix = _assert_matches_scalar(
+            log, divide(log, scheme, approx_size=20), kind, weighted
+        )
+        if kind is FeatureKind.BB and weighted:
+            # Executed zero-instruction blocks keep their (0.0) entries.
+            assert ("bb", "k.zero", 2) in matrix.keys

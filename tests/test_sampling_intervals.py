@@ -11,6 +11,7 @@ from repro.sampling.intervals import (
     single_kernel_intervals,
     sync_intervals,
 )
+from repro.sampling.pipeline import profile_workload
 
 
 @pytest.fixture(scope="module")
@@ -128,3 +129,22 @@ def test_divide_empty_log_raises(small_workload):
     empty = dataclasses.replace(small_workload.log, invocations=())
     with pytest.raises(ValueError, match="empty"):
         divide(empty, IntervalScheme.SYNC)
+
+
+@pytest.fixture(scope="module")
+def mini_logs(mini_suite):
+    return [profile_workload(app, trial_seed=0).log for app in mini_suite]
+
+
+@pytest.mark.parametrize("scheme", list(IntervalScheme))
+def test_divide_weights_equal_per_interval_sums(mini_logs, scheme):
+    """The prefix-sum weights equal summing each interval's invocations,
+    and stay Python ints (JSON and selection reprs depend on it)."""
+    for log in mini_logs:
+        for approx_size in (2_000_000, 50_000):
+            for interval in divide(log, scheme, approx_size):
+                assert type(interval.instruction_count) is int
+                assert interval.instruction_count == sum(
+                    log.invocations[i].instruction_count
+                    for i in interval.invocation_indices()
+                )

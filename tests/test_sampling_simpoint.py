@@ -8,6 +8,13 @@ from hypothesis import strategies as st
 from repro import telemetry
 from repro.obs import events as obs_events
 from repro.sampling import simpoint
+from repro.sampling.features import (
+    ALL_FEATURE_KINDS,
+    FeatureMatrix,
+    build_feature_vectors,
+    feature_vector,
+)
+from repro.sampling.intervals import IntervalScheme, divide
 from repro.sampling.simpoint import (
     SimPointOptions,
     SimPointResult,
@@ -293,6 +300,29 @@ def test_projection_empty_vectors():
     got = project_features([{}, {}], dim=3, seed=0)
     assert got.shape == (2, 3)
     assert (got == 0.0).all()
+    matrix = FeatureMatrix.from_vectors([{}, {}])
+    assert matrix.n_keys == 0 and matrix.rows.size == 0
+    assert np.array_equal(project_features(matrix, dim=3, seed=0), got)
+
+
+@pytest.mark.parametrize("kind", ALL_FEATURE_KINDS)
+def test_projection_of_the_matrix_matches_the_scalar_dicts(
+    small_workload, kind
+):
+    """``project_features`` on the feature matrix equals it on the
+    scalar oracle's dicts, for every scheme and weighting."""
+    log = small_workload.log
+    for scheme in IntervalScheme:
+        intervals = divide(log, scheme)
+        for weighted in (True, False):
+            matrix = build_feature_vectors(log, intervals, kind, weighted)
+            scalar = [
+                feature_vector(log, iv, kind, weighted) for iv in intervals
+            ]
+            assert np.array_equal(
+                project_features(matrix, 15, 493575226),
+                project_features(scalar, 15, 493575226),
+            )
 
 
 # -- k clamp, k-means++ draw, flattened Lloyd --------------------------------

@@ -245,6 +245,18 @@ def test_ledger_render_helpers(tmp_path):
     assert "no metric changed" in render_diff(same)
 
 
+def test_runs_table_columns_line_up_for_long_app_names(tmp_path):
+    ledger = RunLedger(tmp_path / "runs.sqlite")
+    for app in ("cb-vision-facedetect-mobile", "-"):
+        ledger.record_run(_record(app=app))
+    header, *rows = render_runs_table(ledger.runs()).splitlines()
+    status = header.index("status")
+    assert len(rows) == 2
+    for row in rows:
+        assert row[status:].startswith("ok "), row
+        assert row[status - 2:status] == "  "
+
+
 def test_ledger_span_roundtrip_assembles_the_tree(tmp_path):
     ledger = RunLedger(tmp_path / "runs.sqlite")
     trace_id = trace_context.new_trace_id()
